@@ -80,7 +80,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    report = sweep(args.m, threads=args.threads)
+    report = sweep(args.m)
     sys.stdout.write(sweep_text(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -157,7 +157,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="classify every involution of S_m")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", help="write structured records to this path")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify-cases", help="run the case-regression checklist")

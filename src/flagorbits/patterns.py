@@ -10,10 +10,10 @@ pairs is even (zero included).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import MalformedInput
-from .perms import Perm, fixed_points, is_involution, parse_perm, two_cycles
+from .perms import Perm, enumerate_involutions, fixed_points, is_involution, parse_perm, two_cycles
 
 EVEN_FIXED_BETWEEN = "even-fixed-between"
 
@@ -50,9 +50,20 @@ class PatternHit:
     fixed_between: int
 
 
+BAD_PATTERNS = tuple(PatternSpec(parse_perm(text)) for text in _BAD_PATTERN_TEXT)
+QUALIFIED_2143 = PatternSpec(PATTERN_2143, EVEN_FIXED_BETWEEN)
+
+# Bit k of a containment mask says that pi contains SPECS[k].  The first SINGULAR
+# force singularity; plain 2143 and 1324 complete the smoothness conjecture.
+SPECS = BAD_PATTERNS + (QUALIFIED_2143, PatternSpec(PATTERN_2143), PatternSpec(PATTERN_1324))
+SINGULAR = len(BAD_PATTERNS) + 1
+QUALIFIED_BIT = 1 << SPECS.index(QUALIFIED_2143)
+_OWN_BIT = {spec.pattern: 1 << k for k, spec in enumerate(SPECS) if not spec.qualifier}
+
+
 def bad_patterns() -> list[PatternSpec]:
     """The 24 unqualified singularity-forcing patterns."""
-    return [PatternSpec(parse_perm(text)) for text in _BAD_PATTERN_TEXT]
+    return list(BAD_PATTERNS)
 
 
 def standardize(values: tuple[int, ...]) -> Perm:
@@ -97,21 +108,51 @@ def contains(pi: Perm, spec: PatternSpec) -> bool:
     return bool(occurrences(pi, spec))
 
 
+def pattern_mask(pi: Perm) -> int:
+    """The containment mask of one involution, by scanning occurrences."""
+    return sum(1 << k for k, spec in enumerate(SPECS) if contains(pi, spec))
+
+
+def contains_qualified_2143(pi: Perm) -> bool:
+    """2143 with an even number of fixed points strictly between the pairs."""
+    fixed_upto = list(accumulate((v == i for i, v in enumerate(pi, start=1)), initial=0))
+    cycles = [(i, v) for i, v in enumerate(pi, start=1) if v > i]
+    # two 2-cycles (a, b), (c, d) form a 2143 exactly when b < c
+    between = (fixed_upto[c - 1] - fixed_upto[b] for _, b in cycles for c, _ in cycles if b < c)
+    return any(count % 2 == 0 for count in between)
+
+
+def pattern_masks(invs: list[Perm]) -> list[int]:
+    """Containment masks of involutions of one size m, in the order given.
+
+    An occurrence in pi misses an orbit of pi and survives its deletion; one in
+    pi minus an orbit lifts back to pi.  So mask(pi) = own bit | the masks of pi
+    minus each orbit, built by size keeping two levels (an orbit has 1 or 2
+    points).  Deleting a fixed point flips the parity of the qualified 2143, so
+    that bit is tested directly instead.
+    """
+    m = len(invs[0]) if invs else 0
+    two_back, one_back = {}, {(): 0}  # masks of S_{k-2} and S_{k-1}
+    for k in range(1, m + 1):
+        level = {}
+        for pi in invs if k == m else enumerate_involutions(k):
+            bits = _OWN_BIT.get(pi, 0)
+            for i, v in enumerate(pi, start=1):
+                if v >= i:  # delete the orbit {i, v}, relabelling the rest
+                    child = tuple(w - (w > i) - (w > v > i) for w in pi if w != i and w != v)
+                    bits |= (one_back if v == i else two_back)[child]
+            level[pi] = bits
+        two_back, one_back = one_back, level
+    return [one_back[pi] | QUALIFIED_BIT * contains_qualified_2143(pi) for pi in invs]
+
+
 def pattern_singular(pi: Perm) -> tuple[bool, list[tuple[PatternSpec, PatternHit]]]:
     """Singularity by pattern containment, with one witness per matching pattern.
 
     True iff pi contains one of the 24 bad patterns, or contains 2143 with an
     even number of fixed points between the pairs.
     """
-    certificates: list[tuple[PatternSpec, PatternHit]] = []
-    for spec in bad_patterns():
-        found = occurrences(pi, spec)
-        if found:
-            certificates.append((spec, found[0]))
-    qualified = PatternSpec(PATTERN_2143, EVEN_FIXED_BETWEEN)
-    found = occurrences(pi, qualified)
-    if found:
-        certificates.append((qualified, found[0]))
+    certificates = [(spec, hits[0]) for spec in SPECS[:SINGULAR] if (hits := occurrences(pi, spec))]
     return bool(certificates), certificates
 
 
@@ -122,8 +163,4 @@ def conjectured_rationally_smooth(pi: Perm) -> bool:
 
 def conjectured_smooth(pi: Perm) -> bool:
     """Avoids the 24 bad patterns, plain 2143, and 1324 (open in general)."""
-    if not conjectured_rationally_smooth(pi):
-        return False
-    if contains(pi, PatternSpec(PATTERN_2143)):
-        return False
-    return not contains(pi, PatternSpec(PATTERN_1324))
+    return not pattern_mask(pi)

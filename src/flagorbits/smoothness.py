@@ -8,10 +8,9 @@ classifier are reported side by side.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import TooLarge
 from .perms import (
@@ -28,14 +27,19 @@ from .orbit_graph import conjugate_degrees, neighbors, w0_degree
 from .patterns import (
     EVEN_FIXED_BETWEEN,
     PATTERN_2143,
+    SINGULAR,
+    SPECS,
     PatternHit,
     PatternSpec,
     bad_patterns,
-    conjectured_smooth,
+    occurrences,
+    pattern_mask,
+    pattern_masks,
     pattern_singular,
 )
 
 SWEEP_SIZE_GUARD = 12
+SWEEP_PHASES = ("enumerate", "dominance+rank", "degree-masks", "patterns", "assemble")
 
 RATIONALLY_SMOOTH = "rationally_smooth"
 RATIONALLY_SINGULAR = "rationally_singular"
@@ -56,9 +60,15 @@ class ClassificationReport:
     # in bulk sweeps where materializing it per row is prohibitive.
     conjugate_degrees: dict[Perm, int] | None
     pattern_singular: bool
-    certificates: list[tuple[PatternSpec, PatternHit]]
+    # The singularity-forcing specs pi contains, in SPECS order.
+    patterns: tuple[PatternSpec, ...]
     conjectured_rationally_smooth: bool
     conjectured_smooth: bool
+
+    @cached_property
+    def certificates(self) -> list[tuple[PatternSpec, PatternHit]]:
+        """One witness per matching pattern, found on first access."""
+        return [(spec, occurrences(self.perm, spec)[0]) for spec in self.patterns]
 
 
 @dataclass(frozen=True)
@@ -71,12 +81,17 @@ class SweepReport:
     pattern_avoiding_degree_singular: list[Perm]
     counts: dict[str, int]
     elapsed: float
+    phases: dict[str, float]  # seconds per SWEEP_PHASES entry
 
 
 def _verdict(m: int, deg: int, r: int) -> str:
     if m % 2:
         return NOT_APPLICABLE
     return RATIONALLY_SMOOTH if deg == r else RATIONALLY_SINGULAR
+
+
+def _singular_specs(mask: int) -> tuple[PatternSpec, ...]:
+    return tuple(spec for k, spec in enumerate(SPECS[:SINGULAR]) if mask >> k & 1)
 
 
 def classify(pi: Perm, with_conjugate_degrees: bool = True) -> ClassificationReport:
@@ -90,7 +105,8 @@ def classify(pi: Perm, with_conjugate_degrees: bool = True) -> ClassificationRep
         if cd[c] != r:
             witness = (c, cd[c])
             break
-    singular, certs = pattern_singular(pi)
+    mask = pattern_mask(pi)
+    specs = _singular_specs(mask)
     return ClassificationReport(
         perm=pi,
         m=m,
@@ -101,39 +117,31 @@ def classify(pi: Perm, with_conjugate_degrees: bool = True) -> ClassificationRep
         conjugates_pass=witness is None,
         conjugate_witness=witness,
         conjugate_degrees=cd if with_conjugate_degrees else None,
-        pattern_singular=singular,
-        certificates=certs,
-        conjectured_rationally_smooth=not singular,
-        conjectured_smooth=conjectured_smooth(pi),
+        pattern_singular=bool(specs),
+        patterns=specs,
+        conjectured_rationally_smooth=not specs,
+        conjectured_smooth=not mask,
     )
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("ORBIT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def sweep(m: int, threads: int | None = None) -> SweepReport:
+def sweep(m: int) -> SweepReport:
     """Classify every involution of S_m; deterministic lexicographic rows.
 
     Degree data is computed with vectorized dominance-table comparisons;
-    pattern containment is evaluated per involution, optionally across a
-    thread pool (results are independent of the thread count).
+    pattern containment in one orbit-deletion pass over all sizes up to m.
     """
     if m > SWEEP_SIZE_GUARD:
         raise TooLarge(f"sweep guard is m <= {SWEEP_SIZE_GUARD}, got {m}")
     import numpy as np
 
-    t0 = time.perf_counter()
+    stamps = [time.perf_counter()]
     invs = enumerate_involutions(m)
     n_inv = len(invs)
     index = {p: i for i, p in enumerate(invs)}
+    stamps.append(time.perf_counter())
     dom = np.array([dominance(p) for p in invs], dtype=np.int8)
     ranks = np.array([rank(p) for p in invs], dtype=np.int32)
+    stamps.append(time.perf_counter())
 
     def leq_mask(v: Perm):
         # mask[i] = invs[i] <= v in Bruhat order
@@ -167,16 +175,9 @@ def sweep(m: int, threads: int | None = None) -> SweepReport:
             witnesses[int(i)] = (c, int(deg_c[i]))
         conj_ok &= ~viol
     mask_cache.clear()
-
-    def classify_patterns(p: Perm):
-        return pattern_singular(p)
-
-    workers = _thread_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pattern_results = list(pool.map(classify_patterns, invs, chunksize=64))
-    else:
-        pattern_results = [classify_patterns(p) for p in invs]
+    stamps.append(time.perf_counter())
+    pattern_bits = pattern_masks(invs)
+    stamps.append(time.perf_counter())
 
     rows: list[ClassificationReport] = []
     singular_smooth: list[Perm] = []
@@ -187,7 +188,7 @@ def sweep(m: int, threads: int | None = None) -> SweepReport:
         deg = int(deg_w0[i])
         verdict = _verdict(m, deg, r)
         counts[verdict] += 1
-        singular, certs = pattern_results[i]
+        singular = bool(specs := _singular_specs(pattern_bits[i]))
         if m % 2 == 0:
             if singular and verdict == RATIONALLY_SMOOTH:
                 singular_smooth.append(pi)
@@ -205,18 +206,20 @@ def sweep(m: int, threads: int | None = None) -> SweepReport:
                 conjugate_witness=witnesses.get(i),
                 conjugate_degrees=None,
                 pattern_singular=singular,
-                certificates=certs,
+                patterns=specs,
                 conjectured_rationally_smooth=not singular,
-                conjectured_smooth=conjectured_smooth(pi),
+                conjectured_smooth=not pattern_bits[i],
             )
         )
+    stamps.append(time.perf_counter())
     return SweepReport(
         m=m,
         rows=rows,
         pattern_singular_degree_smooth=singular_smooth,
         pattern_avoiding_degree_singular=avoiding_singular,
         counts=counts,
-        elapsed=time.perf_counter() - t0,
+        elapsed=stamps[-1] - stamps[0],
+        phases={name: b - a for name, a, b in zip(SWEEP_PHASES, stamps, stamps[1:])},
     )
 
 
@@ -377,7 +380,7 @@ def verify_known_cases() -> CaseChecklist:
 
 def _pattern_tokens(report: ClassificationReport) -> str:
     toks = []
-    for spec, _hit in report.certificates:
+    for spec in report.patterns:
         suffix = "q" if spec.qualifier == EVEN_FIXED_BETWEEN else ""
         toks.append(format_perm(spec.pattern) + suffix)
     return ",".join(toks) if toks else "-"
@@ -452,4 +455,5 @@ def sweep_text(report: SweepReport) -> str:
         fails = [format_perm(r.perm) for r in report.rows if not r.conjugates_pass]
         lines.append(f"{len(fails)} fail the all-conjugates degree test")
     lines.append(f"# elapsed {report.elapsed:.3f}s")
+    lines += [f"# phase {name} {sec:.3f}s" for name, sec in report.phases.items()]
     return "\n".join(lines) + "\n"

@@ -56,28 +56,26 @@ def test_sweep_stdout_and_out_file(tmp_path, capsys):
     assert any("perm=2143 " in line and "rationally_singular" in line for line in lines)
 
 
-def test_sweep_deterministic_across_threads(tmp_path, capsys):
-    a = tmp_path / "a.txt"
-    b = tmp_path / "b.txt"
-    assert run(capsys, "sweep", "--m", "6", "--threads", "1", "--out", str(a))[0] == 0
-    assert run(capsys, "sweep", "--m", "6", "--threads", "4", "--out", str(b))[0] == 0
-    assert a.read_text() == b.read_text()
-
-
 def test_sweep_coherence_exit_code(monkeypatch, capsys):
     # no real size exhibits a discrepancy, so force one to exercise the path
     import flagorbits.cli as cli
 
     real_sweep = cli.sweep
 
-    def broken(m, threads=None):
-        rep = real_sweep(m, threads=threads)
+    def broken(m):
+        rep = real_sweep(m)
         object.__setattr__(rep, "pattern_singular_degree_smooth", [rep.rows[0].perm])
         return rep
 
     monkeypatch.setattr(cli, "sweep", broken)
     assert run(capsys, "sweep", "--m", "4")[0] == 2
     assert run(capsys, "sweep", "--m", "5")[0] == 0  # odd sizes never gate
+
+
+def test_sweep_has_no_thread_knob(monkeypatch, capsys):
+    monkeypatch.setenv("ORBIT_THREADS", "abc")
+    assert run(capsys, "sweep", "--m", "4")[0] == 0
+    assert run(capsys, "sweep", "--m", "4", "--threads", "2")[0] == 64
 
 
 def test_sweep_guard(capsys):

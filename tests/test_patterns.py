@@ -1,27 +1,31 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flagorbits.errors import MalformedInput
 from flagorbits.perms import (
     enumerate_involutions,
     fixed_points,
+    insert_fixed_point,
     is_involution,
+    left_multiply,
     parse_perm,
 )
 from flagorbits.patterns import (
     EVEN_FIXED_BETWEEN,
     PATTERN_1324,
     PATTERN_2143,
+    QUALIFIED_2143,
+    SPECS,
     PatternSpec,
     bad_patterns,
     conjectured_rationally_smooth,
     conjectured_smooth,
     contains,
     occurrences,
+    pattern_masks,
     pattern_singular,
     standardize,
 )
-
-QUALIFIED_2143 = PatternSpec(PATTERN_2143, EVEN_FIXED_BETWEEN)
 
 
 def test_occurrences_qualified_examples():
@@ -47,6 +51,63 @@ def test_bad_patterns_list():
     for spec in specs:
         assert is_involution(spec.pattern)
         assert spec.qualifier is None
+
+
+def test_bad_patterns_returns_a_copy():
+    specs = bad_patterns()
+    specs.clear()
+    assert len(bad_patterns()) == 24
+
+
+def test_specs_layout():
+    assert SPECS[:24] == tuple(bad_patterns())
+    assert SPECS[24:] == (QUALIFIED_2143, PatternSpec(PATTERN_2143), PatternSpec(PATTERN_1324))
+
+
+def _oracle_mask(pi):
+    return sum(1 << k for k, spec in enumerate(SPECS) if occurrences(pi, spec))
+
+
+def test_masks_match_occurrences_exhaustively():
+    # every bit, the qualified 2143 included, on every involution up to m=8
+    for m in range(0, 9):
+        invs = enumerate_involutions(m)
+        assert pattern_masks(invs) == [_oracle_mask(pi) for pi in invs], m
+
+
+@st.composite
+def involutions(draw, max_size=12):
+    m = draw(st.integers(0, max_size))
+    order = draw(st.permutations(range(1, m + 1)))
+    pairs = draw(st.integers(0, m // 2))
+    pi = list(range(1, m + 1))
+    for a, b in zip(order[: 2 * pairs : 2], order[1 : 2 * pairs : 2]):
+        pi[a - 1], pi[b - 1] = b, a
+    return tuple(pi)
+
+
+@st.composite
+def around_2143(draw, max_size=12):
+    """A 2143 with fixed points between its pairs, in random other orbits."""
+    between = draw(st.integers(0, 4))
+    pi = (2, 1) + tuple(range(3, between + 3)) + (between + 4, between + 3)
+    while len(pi) < max_size and draw(st.booleans()):
+        pi = insert_fixed_point(pi, draw(st.integers(1, len(pi) + 1)))
+    fixed = fixed_points(pi)
+    for _ in range(draw(st.integers(0, len(fixed) // 2))):
+        a, b = sorted(draw(st.sampled_from(fixed)) for _ in range(2))
+        if a < b and pi[a - 1] == a and pi[b - 1] == b:
+            pi = left_multiply((a, b), pi)
+    return pi
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(involutions(), around_2143()))
+@example(parse_perm("21354"))  # one fixed point between the pairs
+@example(parse_perm("213465"))  # two between
+@example(parse_perm("21354687"))  # the outer pairs have two between
+def test_masks_match_occurrences_random(pi):
+    assert pattern_masks([pi]) == [_oracle_mask(pi)]
 
 
 def test_pattern_spec_validation():

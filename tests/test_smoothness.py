@@ -1,11 +1,15 @@
+import hashlib
+
 import pytest
 
 from flagorbits.errors import TooLarge
+from flagorbits.patterns import pattern_singular
 from flagorbits.perms import format_perm, parse_perm, w0
 from flagorbits.smoothness import (
     NOT_APPLICABLE,
     RATIONALLY_SINGULAR,
     RATIONALLY_SMOOTH,
+    SWEEP_PHASES,
     classify,
     report_record,
     report_text,
@@ -45,16 +49,17 @@ def test_classify_21435():
     assert not rep.conjugates_pass
     assert rep.conjugate_witness == (parse_perm("43215"), 5)
     assert rep.pattern_singular  # qualified 2143 at {1,2,3,4}
+    assert rep.certificates == pattern_singular(rep.perm)[1]
 
 
 def test_sweep_m2():
-    rep = sweep(2, threads=1)
+    rep = sweep(2)
     assert len(rep.rows) == 2
     assert all(r.degree_verdict == RATIONALLY_SMOOTH for r in rep.rows)
 
 
 def test_sweep_m4():
-    rep = sweep(4, threads=1)
+    rep = sweep(4)
     assert len(rep.rows) == 10
     singular = [r.perm for r in rep.rows if r.degree_verdict == RATIONALLY_SINGULAR]
     assert singular == [(2, 1, 4, 3)]
@@ -65,25 +70,40 @@ def test_sweep_m4():
 
 
 def test_sweep_conjugates_pass_matches_classify():
-    rep = sweep(5, threads=1)
-    for row in rep.rows:
-        full = classify(row.perm)
-        assert row.conjugates_pass == full.conjugates_pass
-        assert row.w0_degree == full.w0_degree
-        assert row.rank == full.rank
+    # also: the sweep's one-pass pattern masks agree with classify's scans
+    for m in (5, 6):
+        for row in sweep(m).rows:
+            full = classify(row.perm)
+            assert row.conjugates_pass == full.conjugates_pass
+            assert row.w0_degree == full.w0_degree
+            assert row.rank == full.rank
+            assert row.patterns == full.patterns
+            assert row.conjectured_smooth == full.conjectured_smooth
+            assert row.certificates == full.certificates
 
 
 def test_sweep_smooth_implies_conjugates_pass():
     for m in (2, 4, 6):
-        for row in sweep(m, threads=1).rows:
+        for row in sweep(m).rows:
             if row.degree_verdict == RATIONALLY_SMOOTH:
                 assert row.conjugates_pass, format_perm(row.perm)
 
 
-def test_sweep_thread_invariance():
-    a = sweep_records(sweep(6, threads=1))
-    b = sweep_records(sweep(6, threads=3))
-    assert a == b
+SWEEP_8_SHA256 = "82143da9e1231c23ff8218c12d5df251659734552be7109467381b4d68401beb"
+
+
+def test_sweep_m8_golden_hash():
+    text = "\n".join(sweep_records(sweep(8))) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_8_SHA256
+
+
+def test_sweep_phases():
+    rep = sweep(6)
+    assert tuple(rep.phases) == SWEEP_PHASES
+    assert all(sec >= 0 for sec in rep.phases.values())
+    assert sum(rep.phases.values()) == pytest.approx(rep.elapsed)
+    phase_lines = [line for line in sweep_text(rep).splitlines() if "# phase " in line]
+    assert [line.split()[2] for line in phase_lines] == list(SWEEP_PHASES)
 
 
 def test_sweep_guard():
@@ -116,15 +136,13 @@ def test_report_text_mentions_witness():
 
 
 def test_sweep_text_deterministic():
-    assert sweep_text(sweep(4, threads=1)).splitlines()[:4] == sweep_text(
-        sweep(4, threads=2)
-    ).splitlines()[:4]
-    text = sweep_text(sweep(4, threads=1))
+    text = sweep_text(sweep(4))
+    assert text.splitlines()[:4] == sweep_text(sweep(4)).splitlines()[:4]
     assert "1 rationally singular: 2143" in text
 
 
 def test_odd_sweep_reports_conjugate_failures():
-    rep = sweep(5, threads=1)
+    rep = sweep(5)
     fails = {format_perm(r.perm) for r in rep.rows if not r.conjugates_pass}
     assert "21435" in fails
     text = sweep_text(rep)
