@@ -13,21 +13,31 @@ from bisect import insort
 from dataclasses import dataclass
 
 from .errors import SizeMismatch
-from .perms import Perm, enumerate_involutions, w0
+from .perms import Perm, enumerate_involutions
 
 
-def bruhat_leq(u: Perm, v: Perm) -> bool:
-    """Sorted-prefix test for u <= v in Bruhat order."""
+def prefix_violation(u: Perm, v: Perm) -> tuple[int, int] | None:
+    """The first failure of the sorted-prefix test for u <= v in Bruhat order.
+
+    Returns the least prefix length i, then the least j, with
+    sorted(u[:i])[j-1] > sorted(v[:i])[j-1]; None when u <= v.
+    """
     if len(u) != len(v):
         raise SizeMismatch(f"sizes {len(u)} and {len(v)}")
     su: list[int] = []
     sv: list[int] = []
-    for a, b in zip(u, v):
+    for i, (a, b) in enumerate(zip(u, v), start=1):
         insort(su, a)
         insort(sv, b)
-        if any(x > y for x, y in zip(su, sv)):
-            return False
-    return True
+        for j, (x, y) in enumerate(zip(su, sv), start=1):
+            if x > y:
+                return i, j
+    return None
+
+
+def bruhat_leq(u: Perm, v: Perm) -> bool:
+    """Sorted-prefix test for u <= v in Bruhat order."""
+    return prefix_violation(u, v) is None
 
 
 def dominance(p: Perm) -> tuple[int, ...]:
@@ -97,13 +107,3 @@ def interval(pi: Perm) -> Interval:
         if all(a >= b for a, b in zip(dom_pi, dominance(v)))
     )
     return Interval(base=pi, m=m, members=members)
-
-
-def interval_contains(pi: Perm, v: Perm) -> bool:
-    """Membership v in I_pi without materializing the interval."""
-    return bruhat_leq(pi, v)
-
-
-def bottom(m: int) -> Perm:
-    """The vertex w0 lying in every interval."""
-    return w0(m)

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import MalformedInput, TooLarge
-from .perms import format_perm, is_involution, parse_perm, w0
+from .errors import DegenerateFlag, MalformedInput, NotAnOrbitTable, TooLarge
+from .perms import format_perm, is_involution, parse_perm
 from .bruhat import interval, rank
-from .orbit_graph import export_dot, neighbors
+from .orbit_graph import export_dot
 from .geometry import (
     monomial_claim,
     neighbor_variable,
+    orbit_of_flag,
     parse_flag_file,
     slice_gram,
     slice_ideal,
@@ -139,8 +140,6 @@ def _cmd_slice(args) -> int:
 def _cmd_orbit_of_flag(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         flag = parse_flag_file(fh.read())
-    from .geometry import orbit_of_flag
-
     print(format_perm(orbit_of_flag(flag)))
     return EXIT_OK
 
@@ -185,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MalformedInput as exc:
+    except (MalformedInput, DegenerateFlag, NotAnOrbitTable) as exc:
         print(f"flagorbits: malformed input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except TooLarge as exc:

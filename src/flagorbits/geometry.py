@@ -12,7 +12,6 @@ form and flag orbit identification are available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,8 +23,8 @@ from .errors import (
     NotAnOrbitTable,
 )
 from .perms import Perm, format_perm, is_involution, w0
-from .bruhat import bruhat_leq
-from .orbit_graph import neighbors
+from .bruhat import bruhat_leq, prefix_violation
+from .orbit_graph import edges, neighbors
 from .poly import Poly, Var, determinant, exact_rank
 
 FlagMatrix = tuple[tuple[Fraction, ...], ...]
@@ -117,7 +116,7 @@ def neighbor_variable(v: Perm, n: int) -> Var:
     """
     m = 2 * n
     bottom = w0(m)
-    for t, u in _bottom_edges(n):
+    for t, u in edges(bottom):
         if u == v:
             a, b = t
             if b == m + 1 - a:
@@ -128,21 +127,6 @@ def neighbor_variable(v: Perm, n: int) -> Var:
                 return (a, b)
             return canonical_var(a, b, n)
     raise NotANeighbor(f"{format_perm(v)} is not adjacent to {format_perm(bottom)}")
-
-
-def _bottom_edges(n: int) -> list[tuple[tuple[int, int], Perm]]:
-    from .perms import all_transpositions, conjugate, left_multiply
-
-    m = 2 * n
-    bottom = w0(m)
-    out = []
-    for t in all_transpositions(m):
-        c = conjugate(bottom, t)
-        if c != bottom:
-            out.append((t, c))
-        else:
-            out.append((t, left_multiply(t, bottom)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,29 +212,11 @@ def gram_diagnostic(n: int) -> list[tuple[int, int, Poly]]:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_violation(pi: Perm, v: Perm) -> tuple[int, int] | None:
-    """Smallest prefix length i where pi <= v fails, and the least failing j.
-
-    Returns None when pi <= v in Bruhat order.
-    """
-    su: list[int] = []
-    sv: list[int] = []
-    from bisect import insort
-
-    for i, (a, b) in enumerate(zip(pi, v), start=1):
-        insort(su, a)
-        insort(sv, b)
-        for j, (x, y) in enumerate(zip(su, sv), start=1):
-            if x > y:
-                return i, j
-    return None
-
-
 def _require_excluded_neighbor(pi: Perm, v: Perm, n: int) -> tuple[int, int]:
     m = 2 * n
     if v not in neighbors(w0(m)).neighbors:
         raise NotANeighbor(f"{format_perm(v)} is not adjacent to the bottom vertex")
-    hit = _prefix_violation(pi, v)
+    hit = prefix_violation(pi, v)
     if hit is None:
         raise InInterval(f"{format_perm(v)} lies in the interval of {format_perm(pi)}")
     return hit

@@ -9,10 +9,12 @@ t and its mirror can produce the same conjugate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import NotInInterval, TooLarge
 from .perms import (
     Perm,
+    Transposition,
     all_transpositions,
     conjugate,
     format_perm,
@@ -20,7 +22,7 @@ from .perms import (
     w0,
     w0_class,
 )
-from .bruhat import Interval, bruhat_leq, interval
+from .bruhat import Interval, bruhat_leq
 
 DOT_VERTEX_GUARD = 5000
 
@@ -31,18 +33,24 @@ class NeighborSet:
     neighbors: frozenset[Perm]
 
 
-def neighbors(mu: Perm) -> NeighborSet:
-    """All distinct vertices adjacent to mu, looping over every transposition."""
+def edges(mu: Perm) -> Iterator[tuple[Transposition, Perm]]:
+    """The edges at mu as (t, nu), one per transposition t, in transposition order.
+
+    nu = t mu t when that differs from mu, else t mu when m is even; for odd m
+    a transposition commuting with mu gives no edge.  Never nu = mu.
+    """
     m = len(mu)
-    found: set[Perm] = set()
     for t in all_transpositions(m):
-        c = conjugate(mu, t)
-        if c != mu:
-            found.add(c)
+        nu = conjugate(mu, t)
+        if nu != mu:
+            yield t, nu
         elif m % 2 == 0:
-            found.add(left_multiply(t, mu))
-    found.discard(mu)
-    return NeighborSet(center=mu, neighbors=frozenset(found))
+            yield t, left_multiply(t, mu)
+
+
+def neighbors(mu: Perm) -> NeighborSet:
+    """All distinct vertices adjacent to mu."""
+    return NeighborSet(center=mu, neighbors=frozenset(nu for _, nu in edges(mu)))
 
 
 def degree_in(v: Perm, iv: Interval) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 from .errors import MalformedInput
-from .perms import Perm, enumerate_involutions, fixed_points, is_involution, parse_perm, two_cycles
+from .perms import Perm, fixed_points, is_involution, parse_perm, two_cycles
 
 EVEN_FIXED_BETWEEN = "even-fixed-between"
 
@@ -123,27 +123,29 @@ def contains_qualified_2143(pi: Perm) -> bool:
 
 
 def pattern_masks(invs: list[Perm]) -> list[int]:
-    """Containment masks of involutions of one size m, in the order given.
+    """Containment masks of the given involutions, in the order given.
 
     An occurrence in pi misses an orbit of pi and survives its deletion; one in
     pi minus an orbit lifts back to pi.  So mask(pi) = own bit | the masks of pi
-    minus each orbit, built by size keeping two levels (an orbit has 1 or 2
-    points).  Deleting a fixed point flips the parity of the qualified 2143, so
-    that bit is tested directly instead.
+    minus each orbit, memoised over the deletion closure of invs only.
+    Deleting a fixed point flips the parity of the qualified 2143, so that bit
+    is tested directly instead.
     """
-    m = len(invs[0]) if invs else 0
-    two_back, one_back = {}, {(): 0}  # masks of S_{k-2} and S_{k-1}
-    for k in range(1, m + 1):
-        level = {}
-        for pi in invs if k == m else enumerate_involutions(k):
-            bits = _OWN_BIT.get(pi, 0)
-            for i, v in enumerate(pi, start=1):
-                if v >= i:  # delete the orbit {i, v}, relabelling the rest
-                    child = tuple(w - (w > i) - (w > v > i) for w in pi if w != i and w != v)
-                    bits |= (one_back if v == i else two_back)[child]
-            level[pi] = bits
-        two_back, one_back = one_back, level
-    return [one_back[pi] | QUALIFIED_BIT * contains_qualified_2143(pi) for pi in invs]
+    memo: dict[Perm, int] = {(): 0}
+    return [_deletion_mask(pi, memo) | QUALIFIED_BIT * contains_qualified_2143(pi) for pi in invs]
+
+
+def _deletion_mask(pi: Perm, memo: dict[Perm, int]) -> int:
+    # A module-level function: a recursive closure would hold memo in a
+    # reference cycle past the call.
+    bits = _OWN_BIT.get(pi, 0)
+    for i, v in enumerate(pi, start=1):
+        if v >= i:  # delete the orbit {i, v}, relabelling the rest
+            child = tuple(w - (w > i) - (w > v > i) for w in pi if w != i and w != v)
+            got = memo.get(child)
+            bits |= _deletion_mask(child, memo) if got is None else got
+    memo[pi] = bits
+    return bits
 
 
 def pattern_singular(pi: Perm) -> tuple[bool, list[tuple[PatternSpec, PatternHit]]]:

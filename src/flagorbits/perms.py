@@ -7,7 +7,7 @@ mutated.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import MalformedInput, PositionOutOfRange, SizeMismatch
 
@@ -165,62 +165,53 @@ def involution_count(m: int) -> int:
     return b
 
 
+def _involutions(m: int, fixes: int) -> list[Perm]:
+    """Involutions of S_m with at most `fixes` fixed points, in lexicographic
+    one-line order."""
+    if m < 0:
+        raise MalformedInput(f"involutions need m >= 0, got {m}")
+    out: list[Perm] = []
+    _fill([0] * m, 0, fixes, out)
+    return out
+
+
+def _fill(entry: list[int], pos: int, fixes_left: int, out: list[Perm]) -> None:
+    # Fix the first free position (budget allowing), then pair it with each
+    # later free position in turn.  A module-level function: a recursive
+    # closure would hold out in a reference cycle past the call.
+    m = len(entry)
+    while pos < m and entry[pos]:
+        pos += 1
+    if pos == m:
+        out.append(tuple(entry))
+        return
+    i = pos + 1
+    if fixes_left:
+        entry[pos] = i
+        _fill(entry, pos + 1, fixes_left - 1, out)
+        entry[pos] = 0
+    for j in range(i + 1, m + 1):
+        if entry[j - 1] == 0:
+            entry[pos] = j
+            entry[j - 1] = i
+            _fill(entry, pos + 1, fixes_left, out)
+            entry[pos] = entry[j - 1] = 0
+
+
 def enumerate_involutions(m: int) -> list[Perm]:
     """All involutions of S_m in lexicographic one-line order."""
-    out: list[Perm] = []
-    entry = [0] * m
-
-    def fill(pos: int) -> None:
-        while pos < m and entry[pos]:
-            pos += 1
-        if pos == m:
-            out.append(tuple(entry))
-            return
-        i = pos + 1
-        entry[pos] = i
-        fill(pos + 1)
-        entry[pos] = 0
-        for j in range(i + 1, m + 1):
-            if entry[j - 1] == 0:
-                entry[pos] = j
-                entry[j - 1] = i
-                fill(pos + 1)
-                entry[pos] = entry[j - 1] = 0
-
-    fill(0)
-    return out
+    return _involutions(m, m)
 
 
 def w0_class(m: int) -> list[Perm]:
     """Involutions with the cycle type of w0: floor(m/2) two-cycles.
 
-    Lexicographic order on one-line notation.
+    Lexicographic order on one-line notation.  The number of fixed points has
+    the parity of m, so a budget of m % 2 leaves exactly m % 2 of them.
     """
     if m < 1:
         raise MalformedInput(f"w0_class needs m >= 1, got {m}")
-    out: list[Perm] = []
-    entry = [0] * m
-
-    def fill(pos: int, fixes_left: int) -> None:
-        while pos < m and entry[pos]:
-            pos += 1
-        if pos == m:
-            out.append(tuple(entry))
-            return
-        i = pos + 1
-        if fixes_left:
-            entry[pos] = i
-            fill(pos + 1, fixes_left - 1)
-            entry[pos] = 0
-        for j in range(i + 1, m + 1):
-            if entry[j - 1] == 0:
-                entry[pos] = j
-                entry[j - 1] = i
-                fill(pos + 1, fixes_left)
-                entry[pos] = entry[j - 1] = 0
-
-    fill(0, m % 2)
-    return out
+    return _involutions(m, m % 2)
 
 
 def all_transpositions(m: int) -> list[Transposition]:

@@ -8,6 +8,7 @@ fraction-free exact rank for rational matrices.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -170,9 +171,7 @@ def exact_rank(matrix: Iterable[Iterable[Fraction | int]]) -> int:
     rows: list[list[int]] = []
     for row in matrix:
         frs = [Fraction(x) for x in row]
-        lcm = 1
-        for f in frs:
-            lcm = lcm * f.denominator // _gcd(lcm, f.denominator)
+        lcm = math.lcm(*(f.denominator for f in frs))
         rows.append([int(f * lcm) for f in frs])
     if not rows:
         return 0
@@ -194,9 +193,3 @@ def exact_rank(matrix: Iterable[Iterable[Fraction | int]]) -> int:
         if rank == len(rows):
             break
     return rank
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import TooLarge
+from .errors import MalformedInput, TooLarge
 from .perms import (
     Perm,
     enumerate_involutions,
@@ -22,7 +22,7 @@ from .perms import (
     w0,
     w0_class,
 )
-from .bruhat import bruhat_leq, codim, dominance, max_rank, rank
+from .bruhat import dominance, max_rank, rank
 from .orbit_graph import conjugate_degrees, neighbors, w0_degree
 from .patterns import (
     EVEN_FIXED_BETWEEN,
@@ -84,44 +84,47 @@ class SweepReport:
     phases: dict[str, float]  # seconds per SWEEP_PHASES entry
 
 
-def _verdict(m: int, deg: int, r: int) -> str:
-    if m % 2:
-        return NOT_APPLICABLE
-    return RATIONALLY_SMOOTH if deg == r else RATIONALLY_SINGULAR
-
-
-def _singular_specs(mask: int) -> tuple[PatternSpec, ...]:
-    return tuple(spec for k, spec in enumerate(SPECS[:SINGULAR]) if mask >> k & 1)
-
-
-def classify(pi: Perm, with_conjugate_degrees: bool = True) -> ClassificationReport:
-    """Full report for a single involution."""
+def _report(
+    pi: Perm,
+    r: int,
+    deg: int,
+    witness: tuple[Perm, int] | None,
+    mask: int,
+    cd: dict[Perm, int] | None = None,
+) -> ClassificationReport:
+    """One report row from the rank, w0 degree, first failing conjugate and
+    containment mask; every derived field is computed here."""
     m = len(pi)
-    r = rank(pi)
-    deg = w0_degree(pi)
-    cd = conjugate_degrees(pi)
-    witness = None
-    for c in sorted(cd):
-        if cd[c] != r:
-            witness = (c, cd[c])
-            break
-    mask = pattern_mask(pi)
-    specs = _singular_specs(mask)
+    if m % 2:
+        verdict = NOT_APPLICABLE
+    else:
+        verdict = RATIONALLY_SMOOTH if deg == r else RATIONALLY_SINGULAR
+    specs = tuple(spec for k, spec in enumerate(SPECS[:SINGULAR]) if mask >> k & 1)
     return ClassificationReport(
         perm=pi,
         m=m,
         rank=r,
-        codim=codim(pi),
+        codim=max_rank(m) - r,
         w0_degree=deg,
-        degree_verdict=_verdict(m, deg, r),
+        degree_verdict=verdict,
         conjugates_pass=witness is None,
         conjugate_witness=witness,
-        conjugate_degrees=cd if with_conjugate_degrees else None,
+        conjugate_degrees=cd,
         pattern_singular=bool(specs),
         patterns=specs,
         conjectured_rationally_smooth=not specs,
         conjectured_smooth=not mask,
     )
+
+
+def classify(pi: Perm) -> ClassificationReport:
+    """Full report for a single involution."""
+    if len(pi) > SWEEP_SIZE_GUARD:
+        raise TooLarge(f"classify guard is m <= {SWEEP_SIZE_GUARD}, got {len(pi)}")
+    r = rank(pi)
+    cd = conjugate_degrees(pi)
+    witness = next(((c, d) for c, d in sorted(cd.items()) if d != r), None)
+    return _report(pi, r, w0_degree(pi), witness, pattern_mask(pi), cd)
 
 
 def sweep(m: int) -> SweepReport:
@@ -130,6 +133,8 @@ def sweep(m: int) -> SweepReport:
     Degree data is computed with vectorized dominance-table comparisons;
     pattern containment in one orbit-deletion pass over all sizes up to m.
     """
+    if m < 1:
+        raise MalformedInput(f"sweep needs m >= 1, got {m}")
     if m > SWEEP_SIZE_GUARD:
         raise TooLarge(f"sweep guard is m <= {SWEEP_SIZE_GUARD}, got {m}")
     import numpy as np
@@ -184,33 +189,13 @@ def sweep(m: int) -> SweepReport:
     avoiding_singular: list[Perm] = []
     counts = {RATIONALLY_SMOOTH: 0, RATIONALLY_SINGULAR: 0, NOT_APPLICABLE: 0}
     for i, pi in enumerate(invs):
-        r = int(ranks[i])
-        deg = int(deg_w0[i])
-        verdict = _verdict(m, deg, r)
-        counts[verdict] += 1
-        singular = bool(specs := _singular_specs(pattern_bits[i]))
-        if m % 2 == 0:
-            if singular and verdict == RATIONALLY_SMOOTH:
-                singular_smooth.append(pi)
-            if not singular and verdict == RATIONALLY_SINGULAR:
-                avoiding_singular.append(pi)
-        rows.append(
-            ClassificationReport(
-                perm=pi,
-                m=m,
-                rank=r,
-                codim=max_rank(m) - r,
-                w0_degree=deg,
-                degree_verdict=verdict,
-                conjugates_pass=bool(conj_ok[i]),
-                conjugate_witness=witnesses.get(i),
-                conjugate_degrees=None,
-                pattern_singular=singular,
-                patterns=specs,
-                conjectured_rationally_smooth=not singular,
-                conjectured_smooth=not pattern_bits[i],
-            )
-        )
+        row = _report(pi, int(ranks[i]), int(deg_w0[i]), witnesses.get(i), pattern_bits[i])
+        counts[row.degree_verdict] += 1
+        if row.pattern_singular and row.degree_verdict == RATIONALLY_SMOOTH:
+            singular_smooth.append(pi)
+        if not row.pattern_singular and row.degree_verdict == RATIONALLY_SINGULAR:
+            avoiding_singular.append(pi)
+        rows.append(row)
     stamps.append(time.perf_counter())
     return SweepReport(
         m=m,

@@ -17,6 +17,7 @@ from flagorbits.bruhat import (
     dominance,
     interval,
     max_rank,
+    prefix_violation,
     rank,
 )
 
@@ -66,6 +67,27 @@ def test_leq_examples():
 def test_leq_size_mismatch():
     with pytest.raises(SizeMismatch):
         bruhat_leq((1, 2), (1, 2, 3))
+    with pytest.raises(SizeMismatch):
+        prefix_violation((2, 1), (1, 2, 3))
+
+
+def _first_failure(u, v):
+    """The definition: least i, then least j, with sorted(u[:i])[j-1] > sorted(v[:i])[j-1]."""
+    for i in range(1, len(u) + 1):
+        for j, (a, b) in enumerate(zip(sorted(u[:i]), sorted(v[:i])), start=1):
+            if a > b:
+                return i, j
+    return None
+
+
+def test_prefix_violation_matches_definition():
+    for m in range(1, 7):
+        invs = enumerate_involutions(m)
+        for u in invs:
+            for v in invs:
+                hit = prefix_violation(u, v)
+                assert hit == _first_failure(u, v)
+                assert bruhat_leq(u, v) == (hit is None)
 
 
 def test_dominance_agrees_with_leq():

@@ -84,6 +84,19 @@ def test_sweep_guard(capsys):
     assert "too large" in err
 
 
+def test_sweep_needs_positive_m(capsys):
+    for m in ("-1", "0"):
+        code, _, err = run(capsys, "sweep", "--m", m)
+        assert code == 65
+        assert err == f"flagorbits: malformed input: sweep needs m >= 1, got {m}\n"
+
+
+def test_classify_guard(capsys):
+    code, _, err = run(capsys, "classify", ",".join(str(k) for k in range(1, 17)))
+    assert code == 66
+    assert err == "flagorbits: too large: classify guard is m <= 12, got 16\n"
+
+
 def test_verify_cases(capsys):
     code, out, _ = run(capsys, "verify-cases")
     assert code == 0
@@ -147,3 +160,26 @@ def test_orbit_of_flag_malformed(tmp_path, capsys):
     code, _, err = run(capsys, "orbit-of-flag", str(path))
     assert code == 65
     assert "malformed" in err
+
+
+def test_orbit_of_flag_degenerate(tmp_path, capsys):
+    path = tmp_path / "flag.txt"
+    path.write_text("2\n1 2\n2 4\n")
+    code, _, err = run(capsys, "orbit-of-flag", str(path))
+    assert code == 65
+    assert err == "flagorbits: malformed input: flag rows are linearly dependent\n"
+
+
+def test_orbit_of_flag_not_an_orbit_table(tmp_path, monkeypatch, capsys):
+    import flagorbits.cli as cli
+    from flagorbits.errors import NotAnOrbitTable
+
+    def bad_table(flag):
+        raise NotAnOrbitTable("rank table mismatch after reconstruction")
+
+    monkeypatch.setattr(cli, "orbit_of_flag", bad_table)
+    path = tmp_path / "flag.txt"
+    path.write_text(format_flag_file(specialize_basis(2, {})))
+    code, _, err = run(capsys, "orbit-of-flag", str(path))
+    assert code == 65
+    assert err.count("\n") == 1 and "rank table mismatch" in err

@@ -13,6 +13,7 @@ from flagorbits.bruhat import Interval, interval, rank
 from flagorbits.orbit_graph import (
     conjugate_degrees,
     degree_in,
+    edges,
     export_dot,
     neighbors,
     w0_degree,
@@ -33,6 +34,18 @@ def test_neighbor_examples():
         (3, 2, 1, 4),
     }
     assert neighbors((2, 1)).neighbors == {(1, 2)}
+
+
+def test_edges_follow_transposition_order():
+    for m in range(1, 7):
+        for mu in enumerate_involutions(m):
+            pairs = list(edges(mu))
+            ts = [t for t, _ in pairs]
+            assert ts == [t for t in all_transpositions(m) if t in ts]
+            if m % 2 == 0:
+                assert ts == all_transpositions(m)  # every t gives an edge
+            assert all(nu != mu for _, nu in pairs)
+            assert neighbors(mu).neighbors == {nu for _, nu in pairs}
 
 
 def test_degree_in():

@@ -110,6 +110,11 @@ def test_masks_match_occurrences_random(pi):
     assert pattern_masks([pi]) == [_oracle_mask(pi)]
 
 
+def test_masks_of_mixed_sizes():
+    invs = [parse_perm("21354687"), (1,), parse_perm("2143"), (), parse_perm("426153")]
+    assert pattern_masks(invs) == [_oracle_mask(pi) for pi in invs]
+
+
 def test_pattern_spec_validation():
     with pytest.raises(MalformedInput):
         PatternSpec((2, 3, 1))  # not an involution

@@ -145,6 +145,8 @@ def test_enumeration_matches_brute_force():
             if is_involution(p)
         )
         assert enumerate_involutions(m) == brute
+    with pytest.raises(MalformedInput):
+        enumerate_involutions(-1)
 
 
 def test_w0_class():
@@ -154,12 +156,9 @@ def test_w0_class():
     assert len(cls5) == 15
     assert all(len(fixed_points(p)) == 1 for p in cls5)
     for m in range(1, 8):
-        want = {
-            p
-            for p in enumerate_involutions(m)
-            if len(two_cycles(p)) == m // 2
-        }
-        assert set(w0_class(m)) == want
+        # same members in the same lexicographic order
+        want = [p for p in enumerate_involutions(m) if len(two_cycles(p)) == m // 2]
+        assert w0_class(m) == want
 
 
 def test_validate_perm_rejects_non_bijection():

@@ -2,9 +2,9 @@ import hashlib
 
 import pytest
 
-from flagorbits.errors import TooLarge
+from flagorbits.errors import MalformedInput, TooLarge
 from flagorbits.patterns import pattern_singular
-from flagorbits.perms import format_perm, parse_perm, w0
+from flagorbits.perms import format_perm, identity, parse_perm, w0
 from flagorbits.smoothness import (
     NOT_APPLICABLE,
     RATIONALLY_SINGULAR,
@@ -109,6 +109,23 @@ def test_sweep_phases():
 def test_sweep_guard():
     with pytest.raises(TooLarge):
         sweep(13)
+    for m in (-1, 0):
+        with pytest.raises(MalformedInput):
+            sweep(m)
+
+
+def test_classify_guard_fires_before_work(monkeypatch):
+    import flagorbits.smoothness as sm
+
+    def no_work(*args):
+        raise AssertionError("classify started work")
+
+    for name in ("rank", "conjugate_degrees", "w0_degree", "pattern_mask"):
+        monkeypatch.setattr(sm, name, no_work)
+    with pytest.raises(TooLarge):
+        classify(identity(13))
+    with pytest.raises(AssertionError):
+        classify(identity(12))  # the guard admits m = 12
 
 
 def test_verify_known_cases_all_pass():
