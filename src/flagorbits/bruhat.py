@@ -1,8 +1,10 @@
 """Bruhat order, the rank grading on involutions, and interval computation.
 
-The comparison used everywhere is the sorted-prefix criterion: u <= v iff
-for every prefix length i, sorting the first i entries of each increasingly
-gives u'_j <= v'_j for all j.  Orbit-closure containment corresponds to the
+The scalar comparison is the sorted-prefix criterion: u <= v iff for every
+prefix length i, sorting the first i entries of each increasingly gives
+u'_j <= v'_j for all j.  Its vectorized form is Fulton's rank-table
+criterion on many involutions at once: u <= v iff dominance(u) >=
+dominance(v) entrywise.  Orbit-closure containment corresponds to the
 reverse of this order, so the interval below pi consists of the involutions
 Bruhat-above pi.
 """
@@ -11,9 +13,15 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 from .errors import SizeMismatch
-from .perms import Perm, enumerate_involutions
+from .perms import Perm, enumerate_involutions, guard_size
+
+# Bytes of comparison indicators a table build holds at once.
+TABLE_CHUNK_BYTES = 1 << 16
 
 
 def prefix_violation(u: Perm, v: Perm) -> tuple[int, int] | None:
@@ -55,6 +63,67 @@ def dominance(p: Perm) -> tuple[int, ...]:
             row[j] += 1
         flat.extend(row)
     return tuple(flat)
+
+
+def table_slices(
+    rows: np.ndarray, entries: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Reduced dominance tables of involutions, entry-major, in slices.
+
+    rows is a (K, m) int8 array of one-line involutions.  Yields (s, part):
+    column k of part is the table of rows[s + k], and its row e holds d[i][j]
+    of `dominance` for the e-th pair i <= j <= m-2 of np.triu_indices(m - 1).
+    The table of an involution is symmetric and its last row and column are
+    constant, so these m(m-1)/2 entries decide comparisons between
+    involutions.  `entries` selects a subset of the rows e; with none, nothing
+    is yielded.  Slices are sized so that their indicators stay within
+    TABLE_CHUNK_BYTES.
+    """
+    m = rows.shape[1]
+    i, j = np.triu_indices(max(m - 1, 0))
+    if entries is not None:
+        i, j = i[entries], j[entries]
+    if not len(i):
+        return
+    cols, jpos = np.unique(j, return_inverse=True)
+    top = int(i.max()) + 1
+    step = max(1, TABLE_CHUNK_BYTES // (top * len(cols)))
+    prefix = np.ascontiguousarray(rows[:, :top].T)
+    bounds = (cols + 1).astype(np.int8)[None, :, None]
+    for s in range(0, len(rows), step):
+        hits = prefix[:, None, s : s + step] <= bounds
+        yield s, np.cumsum(hits, axis=0, dtype=np.int8)[i, jpos]
+
+
+def dominance_table(rows: np.ndarray) -> np.ndarray:
+    """All m(m-1)/2 reduced entries of `table_slices`, shape (entries, K)."""
+    m = rows.shape[1]
+    out = np.empty((m * (m - 1) // 2, len(rows)), dtype=np.int8)
+    for s, part in table_slices(rows):
+        out[:, s : s + part.shape[1]] = part
+    return out
+
+
+def above(pi: Perm, rows: np.ndarray) -> np.ndarray:
+    """mask[k] = pi <= rows[k] in Bruhat order, for a (K, m) int8 array of
+    involutions.
+
+    Compares only the entries where pi's table is below its cap i + 1: no
+    involution exceeds the cap, so the other entries hold for every row.
+    """
+    col = dominance_table(np.array([pi], dtype=np.int8))[:, 0]
+    i, _ = np.triu_indices(max(len(pi) - 1, 0))
+    live = np.flatnonzero(col <= i)
+    out = np.ones(len(rows), dtype=bool)
+    for s, part in table_slices(rows, live):
+        out[s : s + part.shape[1]] = (part <= col[live, None]).all(axis=0)
+    return out
+
+
+def below(table: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """mask[k] = (involution k) <= v in Bruhat order, for a full
+    `dominance_table` and v's column of it."""
+    return (table >= col[:, None]).all(axis=0)
 
 
 def max_rank(m: int) -> int:
@@ -100,10 +169,8 @@ class Interval:
 def interval(pi: Perm) -> Interval:
     """I_pi: all involutions v with pi <= v, by filtering the enumeration."""
     m = len(pi)
-    dom_pi = dominance(pi)
-    members = frozenset(
-        v
-        for v in enumerate_involutions(m)
-        if all(a >= b for a, b in zip(dom_pi, dominance(v)))
-    )
+    guard_size(m, "interval")
+    invs = enumerate_involutions(m)
+    mask = above(pi, np.array(invs, dtype=np.int8))
+    members = frozenset(v for v, keep in zip(invs, mask.tolist()) if keep)
     return Interval(base=pi, m=m, members=members)

@@ -23,7 +23,7 @@ from .errors import (
     NotAnOrbitTable,
 )
 from .perms import Perm, format_perm, is_involution, w0
-from .bruhat import bruhat_leq, prefix_violation
+from .bruhat import prefix_violation
 from .orbit_graph import edges, neighbors
 from .poly import Poly, Var, determinant, exact_rank
 
@@ -222,6 +222,14 @@ def _require_excluded_neighbor(pi: Perm, v: Perm, n: int) -> tuple[int, int]:
     return hit
 
 
+def _minor_i(gram: list[list[Poly]], v: Perm, hit: tuple[int, int]) -> Poly:
+    i, j = hit
+    prefix = v[:i]
+    v_sorted = sorted(prefix)
+    rows = [prefix.index(v_sorted[k]) + 1 for k in range(j)]
+    return determinant(gram, rows, v_sorted[:j])
+
+
 def minor_condition_ii(pi: Perm, c: Perm, n: int) -> Poly:
     """Minor on the first i rows and columns c_1..c_i at the first prefix
     failure of pi <= c; its vanishing cuts the slice along c's direction."""
@@ -235,13 +243,7 @@ def minor_condition_ii(pi: Perm, c: Perm, n: int) -> Poly:
 def minor_condition_i(pi: Perm, v: Perm, n: int) -> Poly:
     """The j x j minor on rows r_1..r_j (positions of the j smallest prefix
     values of v) and columns v'_1..v'_j, at the first prefix failure."""
-    i, j = _require_excluded_neighbor(pi, v, n)
-    gram = slice_gram(n)
-    prefix = v[:i]
-    v_sorted = sorted(prefix)
-    rows = [prefix.index(v_sorted[k]) + 1 for k in range(j)]
-    cols = v_sorted[:j]
-    return determinant(gram, rows, cols)
+    return _minor_i(slice_gram(n), v, _require_excluded_neighbor(pi, v, n))
 
 
 def slice_ideal(pi: Perm, n: int) -> list[tuple[Perm, Poly]]:
@@ -250,10 +252,12 @@ def slice_ideal(pi: Perm, n: int) -> list[tuple[Perm, Poly]]:
     m = 2 * n
     if len(pi) != m:
         raise MalformedInput(f"{format_perm(pi)} has size {len(pi)}, expected {m}")
+    gram = slice_gram(n)
     out = []
     for v in sorted(neighbors(w0(m)).neighbors):
-        if not bruhat_leq(pi, v):
-            out.append((v, minor_condition_i(pi, v, n)))
+        hit = prefix_violation(pi, v)
+        if hit is not None:
+            out.append((v, _minor_i(gram, v, hit)))
     return out
 
 

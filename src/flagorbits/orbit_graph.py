@@ -4,12 +4,18 @@ Two involutions mu, nu are adjacent iff nu = t mu t != mu for some
 transposition t, or (only when m is even) nu = t mu for some t commuting
 with mu.  Degrees are counted over distinct vertices, not transpositions:
 t and its mirror can produce the same conjugate.
+
+`edges` applies the edge rule to one involution; `edge_rows` applies it to
+an array of one-line rows at once, and `conjugate_degrees` counts degrees
+from those rows with the vectorized comparison of `bruhat.above`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from .errors import NotInInterval, TooLarge
 from .perms import (
@@ -22,9 +28,11 @@ from .perms import (
     w0,
     w0_class,
 )
-from .bruhat import Interval, bruhat_leq
+from .bruhat import Interval, above, bruhat_leq
 
 DOT_VERTEX_GUARD = 5000
+# Neighbour rows conjugate_degrees holds at once.
+EDGE_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -69,13 +77,82 @@ def w0_degree(pi: Perm) -> int:
     return sum(1 for u in neighbors(w0(m)).neighbors if bruhat_leq(pi, u))
 
 
+def edge_rows(rows: np.ndarray) -> np.ndarray:
+    """The rule of `edges` for every row of a (K, m) int8 array of involutions.
+
+    Returns (K, T, m): out[k, s] is the neighbour of mu = rows[k] along the
+    s-th transposition t = (a, b), that is t mu t, else t mu when that leaves
+    mu unchanged and m is even.  Where t gives no edge (odd m) out[k, s] is
+    mu itself.  t mu t pairs a with t(mu(b)) and b with t(mu(a)) and agrees
+    with mu elsewhere, so each row changes in at most four places.
+    """
+    m = rows.shape[1]
+    a, b = np.array(all_transpositions(m), dtype=np.int8).reshape(-1, 2).T
+    out = np.repeat(rows[:, None, :], len(a), axis=1)
+    flat = out.reshape(-1)
+    at = np.arange(out.shape[0] * out.shape[1]).reshape(out.shape[:2]) * m
+    mu_a, mu_b = rows[:, a - 1], rows[:, b - 1]
+    ta, tb = (np.where(v == a, b, np.where(v == b, a, v)) for v in (mu_b, mu_a))
+    flat[at + a - 1] = ta
+    flat[at + b - 1] = tb
+    flat[at + ta - 1] = a
+    flat[at + tb - 1] = b
+    if m % 2 == 0:
+        same = ta == mu_a  # t commutes with mu: left-multiply instead
+        flat[at[same] + mu_a[same] - 1] = np.broadcast_to(b, same.shape)[same]
+        flat[at[same] + mu_b[same] - 1] = np.broadcast_to(a, same.shape)[same]
+    return out
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per one-line row (last axis): its base-(m+1) digits, most
+    significant first, so keys sort as the rows do lexicographically."""
+    m = rows.shape[-1]
+    keys = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for k in range(m):
+        keys = keys * (m + 1) + rows[..., k]
+    return keys
+
+
+def edge_keys(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`edge_rows` and their (K, T) keys, with -1 where t gives no edge."""
+    nbr = edge_rows(rows)
+    keys = row_keys(nbr)
+    keys[keys == row_keys(rows)[:, None]] = -1
+    return nbr, keys
+
+
+def distinct_keys(keys: np.ndarray) -> np.ndarray:
+    """Sort each row of (K, T) neighbour keys and blank repeats with -1, so
+    that each row holds each distinct vertex once; -1 entries stay -1."""
+    keys = np.sort(keys, axis=1)
+    keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = -1
+    return keys
+
+
 def conjugate_degrees(pi: Perm) -> dict[Perm, int]:
-    """Degree in I_pi of every w0-conjugate lying in I_pi."""
+    """Degree in I_pi of every w0-conjugate lying in I_pi, in lexicographic
+    order of the conjugates.
+
+    The class members above pi are found with `above`; then the neighbour
+    rows of those members, EDGE_CHUNK_ROWS at a time, are compared against pi
+    and counted as distinct vertices by their keys.
+    """
     m = len(pi)
+    cls = w0_class(m)
+    rows = np.array(cls, dtype=np.int8)
+    hit = np.flatnonzero(above(pi, rows))
+    step = max(1, EDGE_CHUNK_ROWS // max(1, m * (m - 1) // 2))
     out: dict[Perm, int] = {}
-    for c in w0_class(m):
-        if bruhat_leq(pi, c):
-            out[c] = sum(1 for u in neighbors(c).neighbors if bruhat_leq(pi, u))
+    for s in range(0, len(hit), step):
+        part = hit[s : s + step]
+        nbr, keys = edge_keys(rows[part])
+        # compare each distinct neighbour of the chunk once
+        _, first, back = np.unique(keys, return_index=True, return_inverse=True)
+        ok = above(pi, nbr.reshape(-1, m)[first])[back]
+        keys[~ok.reshape(keys.shape)] = -1
+        degs = (distinct_keys(keys) >= 0).sum(axis=1)
+        out.update(zip(map(cls.__getitem__, part.tolist()), degs.tolist()))
     return out
 
 

@@ -9,11 +9,21 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import MalformedInput, PositionOutOfRange, SizeMismatch
+from .errors import MalformedInput, PositionOutOfRange, SizeMismatch, TooLarge
 
 Perm = tuple[int, ...]
 # A transposition is an ordered pair (a, b) of positions with a < b.
 Transposition = tuple[int, int]
+
+# The largest m whose involutions sweep, classify and interval enumerate
+# (140,152 involutions at m = 12).
+SIZE_GUARD = 12
+
+
+def guard_size(m: int, what: str) -> None:
+    """Raise TooLarge for m above SIZE_GUARD, before any work is done."""
+    if m > SIZE_GUARD:
+        raise TooLarge(f"{what} guard is m <= {SIZE_GUARD}, got {m}")
 
 
 def validate_perm(entries: Iterable[int]) -> Perm:

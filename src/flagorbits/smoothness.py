@@ -12,18 +12,21 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MalformedInput, TooLarge
+import numpy as np
+
+from .errors import MalformedInput
 from .perms import (
     Perm,
     enumerate_involutions,
     format_perm,
+    guard_size,
     insert_fixed_point,
     parse_perm,
     w0,
     w0_class,
 )
-from .bruhat import dominance, max_rank, rank
-from .orbit_graph import conjugate_degrees, neighbors, w0_degree
+from .bruhat import below, dominance_table, max_rank, rank
+from .orbit_graph import conjugate_degrees, distinct_keys, edge_keys, row_keys, w0_degree
 from .patterns import (
     EVEN_FIXED_BETWEEN,
     PATTERN_2143,
@@ -38,7 +41,6 @@ from .patterns import (
     pattern_singular,
 )
 
-SWEEP_SIZE_GUARD = 12
 SWEEP_PHASES = ("enumerate", "dominance+rank", "degree-masks", "patterns", "assemble")
 
 RATIONALLY_SMOOTH = "rationally_smooth"
@@ -82,6 +84,9 @@ class SweepReport:
     counts: dict[str, int]
     elapsed: float
     phases: dict[str, float]  # seconds per SWEEP_PHASES entry
+    # masks: distinct <=-masks built (one per w0-class member and neighbour);
+    # mask_bytes: peak bytes held by them.
+    counters: dict[str, int]
 
 
 def _report(
@@ -119,67 +124,57 @@ def _report(
 
 def classify(pi: Perm) -> ClassificationReport:
     """Full report for a single involution."""
-    if len(pi) > SWEEP_SIZE_GUARD:
-        raise TooLarge(f"classify guard is m <= {SWEEP_SIZE_GUARD}, got {len(pi)}")
+    m = len(pi)
+    guard_size(m, "classify")
     r = rank(pi)
-    cd = conjugate_degrees(pi)
-    witness = next(((c, d) for c, d in sorted(cd.items()) if d != r), None)
-    return _report(pi, r, w0_degree(pi), witness, pattern_mask(pi), cd)
+    cd = conjugate_degrees(pi)  # lexicographic; w0 lies above every pi
+    witness = next(((c, d) for c, d in cd.items() if d != r), None)
+    return _report(pi, r, cd[w0(m)], witness, pattern_mask(pi), cd)
 
 
 def sweep(m: int) -> SweepReport:
     """Classify every involution of S_m; deterministic lexicographic rows.
 
-    Degree data is computed with vectorized dominance-table comparisons;
-    pattern containment in one orbit-deletion pass over all sizes up to m.
+    Degree data comes from one <=-mask per w0-class member and neighbour,
+    each a vectorized comparison on the entry-major dominance table; pattern
+    containment from one orbit-deletion pass over all sizes up to m.
     """
     if m < 1:
         raise MalformedInput(f"sweep needs m >= 1, got {m}")
-    if m > SWEEP_SIZE_GUARD:
-        raise TooLarge(f"sweep guard is m <= {SWEEP_SIZE_GUARD}, got {m}")
-    import numpy as np
+    guard_size(m, "sweep")
 
     stamps = [time.perf_counter()]
     invs = enumerate_involutions(m)
     n_inv = len(invs)
-    index = {p: i for i, p in enumerate(invs)}
+    inv_rows = np.array(invs, dtype=np.int8)
+    inv_keys = row_keys(inv_rows)  # ascending, as invs are lexicographic
     stamps.append(time.perf_counter())
-    dom = np.array([dominance(p) for p in invs], dtype=np.int8)
+    table = dominance_table(inv_rows)
     ranks = np.array([rank(p) for p in invs], dtype=np.int32)
     stamps.append(time.perf_counter())
 
-    def leq_mask(v: Perm):
-        # mask[i] = invs[i] <= v in Bruhat order
-        return (dom >= dom[index[v]]).all(axis=1)
-
-    bottom = w0(m)
-    deg_w0 = np.zeros(n_inv, dtype=np.int32)
-    for u in sorted(neighbors(bottom).neighbors):
-        deg_w0 += leq_mask(u)
-
     cls = w0_class(m)
-    nbr_map = {c: sorted(neighbors(c).neighbors) for c in cls}
-    mask_cache: dict[Perm, object] = {}
+    cls_rows = np.array(cls, dtype=np.int8)
+    own = row_keys(cls_rows)
+    nbr_keys = distinct_keys(edge_keys(cls_rows)[1])
+    vertices = np.union1d(own, nbr_keys[nbr_keys >= 0])
+    # masks[r, i] = invs[i] <= the r-th vertex in Bruhat order
+    masks = np.empty((len(vertices), n_inv), dtype=bool)
+    for r, col in enumerate(np.searchsorted(inv_keys, vertices).tolist()):
+        masks[r] = below(table, table[:, col])
+    own = np.searchsorted(vertices, own)
+    nbr_at = np.searchsorted(vertices, nbr_keys)
 
-    def cached_mask(u: Perm):
-        got = mask_cache.get(u)
-        if got is None:
-            got = mask_cache[u] = leq_mask(u)
-        return got
-
+    as_int = masks.view(np.uint8)  # degrees are at most m(m-1)/2 <= 66
     conj_ok = np.ones(n_inv, dtype=bool)
     witnesses: dict[int, tuple[Perm, int]] = {}
-    for c in cls:
-        member = cached_mask(c)
-        deg_c = np.zeros(n_inv, dtype=np.int32)
-        for u in nbr_map[c]:
-            deg_c += cached_mask(u)
-        viol = member & (deg_c != ranks)
-        fresh = viol & conj_ok
-        for i in np.nonzero(fresh)[0]:
-            witnesses[int(i)] = (c, int(deg_c[i]))
+    for k, c in enumerate(cls):
+        deg_c = as_int[nbr_at[k][nbr_keys[k] >= 0]].sum(axis=0, dtype=np.uint8)
+        viol = masks[own[k]] & (deg_c != ranks)
+        for i in np.flatnonzero(viol & conj_ok).tolist():
+            witnesses[i] = (c, int(deg_c[i]))
         conj_ok &= ~viol
-    mask_cache.clear()
+    deg_w0 = deg_c  # w0 is the last class member and lies above every row
     stamps.append(time.perf_counter())
     pattern_bits = pattern_masks(invs)
     stamps.append(time.perf_counter())
@@ -205,6 +200,7 @@ def sweep(m: int) -> SweepReport:
         counts=counts,
         elapsed=stamps[-1] - stamps[0],
         phases={name: b - a for name, a, b in zip(SWEEP_PHASES, stamps, stamps[1:])},
+        counters={"masks": len(vertices), "mask_bytes": masks.nbytes},
     )
 
 
@@ -441,4 +437,5 @@ def sweep_text(report: SweepReport) -> str:
         lines.append(f"{len(fails)} fail the all-conjugates degree test")
     lines.append(f"# elapsed {report.elapsed:.3f}s")
     lines += [f"# phase {name} {sec:.3f}s" for name, sec in report.phases.items()]
+    lines += [f"# counter {name} {value}" for name, value in report.counters.items()]
     return "\n".join(lines) + "\n"

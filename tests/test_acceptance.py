@@ -254,7 +254,8 @@ SWEEP_10_SHA256 = "dfa93a33e0274e760d49f6c1f232eebbdb9ea97517f81632ed627eb6a5de4
 def test_criterion_8_performance_m10():
     rep = sweep(10)
     assert len(rep.rows) == 9496
-    assert rep.elapsed < 60, f"m=10 sweep took {rep.elapsed:.0f}s"
+    assert rep.elapsed < 20, f"m=10 sweep took {rep.elapsed:.0f}s"
+    assert rep.counters["masks"] == 5670  # w0-class members and their neighbours
     text = "\n".join(sweep_records(rep)) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_10_SHA256
     _report(8, "m=10 performance and golden records hash")

@@ -1,8 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from flagorbits.errors import SizeMismatch
+from flagorbits.errors import SizeMismatch, TooLarge
 from flagorbits.perms import (
     all_transpositions,
     enumerate_involutions,
@@ -12,9 +13,12 @@ from flagorbits.perms import (
     w0,
 )
 from flagorbits.bruhat import (
+    above,
+    below,
     bruhat_leq,
     codim,
     dominance,
+    dominance_table,
     interval,
     max_rank,
     prefix_violation,
@@ -97,6 +101,21 @@ def test_dominance_agrees_with_leq():
             assert bruhat_leq(u, v) == all(a >= b for a, b in zip(du, dominance(v)))
 
 
+def test_reduced_table_compare_matches_leq():
+    # the entry-major table keeps d[i][j] for i <= j <= m-2 only; both
+    # vectorized comparisons must agree with the scalar comparator
+    for m in range(1, 7):
+        invs = enumerate_involutions(m)
+        rows = np.array(invs, dtype=np.int8)
+        table = dominance_table(rows)
+        assert table.shape == (m * (m - 1) // 2, len(invs))
+        kept = [i * m + j for i in range(m - 1) for j in range(i, m - 1)]
+        for k, v in enumerate(invs):
+            assert table[:, k].tolist() == [dominance(v)[e] for e in kept]
+            assert below(table, table[:, k]).tolist() == [bruhat_leq(u, v) for u in invs]
+            assert above(v, rows).tolist() == [bruhat_leq(v, u) for u in invs]
+
+
 def test_rank_values():
     assert rank(w0(4)) == 0
     assert rank(w0(7)) == 0
@@ -142,6 +161,19 @@ def test_interval_examples():
         (4, 2, 3, 1),
         (4, 3, 2, 1),
     ]
+
+
+def test_interval_guard_fires_before_work(monkeypatch):
+    import flagorbits.bruhat as br
+
+    def no_work(*args):
+        raise AssertionError("interval started work")
+
+    monkeypatch.setattr(br, "enumerate_involutions", no_work)
+    with pytest.raises(TooLarge):
+        interval(w0(13))
+    with pytest.raises(AssertionError):
+        interval(w0(12))  # the guard admits m = 12
 
 
 def test_interval_invariants_small():

@@ -118,6 +118,14 @@ def test_graph_stdout_and_file(tmp_path, capsys):
     assert path.read_text() == out
 
 
+def test_graph_guard(capsys):
+    # w0 of S_16 has a one-vertex interval, but the guard refuses m > 12
+    # before S_16 is enumerated
+    code, out, err = run(capsys, "graph", ",".join(str(k) for k in range(16, 0, -1)))
+    assert code == 66 and out == ""
+    assert err == "flagorbits: too large: interval guard is m <= 12, got 16\n"
+
+
 def test_slice_output(capsys):
     code, out, _ = run(capsys, "slice", "3412")
     assert code == 0

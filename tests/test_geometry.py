@@ -175,6 +175,26 @@ def test_slice_ideal_examples():
     assert got[(3, 4, 1, 2)] in (Poly.var((3, 4)), Poly.var((3, 4), -1))
 
 
+def test_slice_ideal_builds_shared_data_once(monkeypatch):
+    import flagorbits.geometry as geo
+
+    calls = {"neighbors": 0, "slice_gram": 0, "prefix_violation": 0}
+    for name in calls:
+        real = getattr(geo, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(geo, name, counted)
+    pi = parse_perm("21436587")
+    ideal = slice_ideal(pi, 4)
+    assert calls == {"neighbors": 1, "slice_gram": 1, "prefix_violation": 16}
+    monkeypatch.undo()
+    # each minor equals the public one, which checks its arguments afresh
+    assert ideal == [(v, minor_condition_i(pi, v, 4)) for v, _ in ideal]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_slice_ideal_count_and_monomial_claim(n):
     m = 2 * n

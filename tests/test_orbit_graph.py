@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagorbits.errors import NotInInterval, TooLarge
 from flagorbits.perms import (
@@ -8,16 +10,38 @@ from flagorbits.perms import (
     identity,
     parse_perm,
     w0,
+    w0_class,
 )
-from flagorbits.bruhat import Interval, interval, rank
+from flagorbits.bruhat import Interval, bruhat_leq, interval, rank
 from flagorbits.orbit_graph import (
     conjugate_degrees,
     degree_in,
+    distinct_keys,
+    edge_keys,
+    edge_rows,
     edges,
     export_dot,
     neighbors,
+    row_keys,
     w0_degree,
 )
+
+
+def scalar_conjugate_degrees(pi):
+    """Oracle for conjugate_degrees: the scalar comparator on every class
+    member and on each of its distinct neighbours."""
+    leq = {}
+
+    def above(v):
+        if v not in leq:
+            leq[v] = bruhat_leq(pi, v)
+        return leq[v]
+
+    return {
+        c: sum(1 for u in neighbors(c).neighbors if above(u))
+        for c in w0_class(len(pi))
+        if above(c)
+    }
 
 
 def test_neighbor_examples():
@@ -124,3 +148,57 @@ def test_export_dot_guard():
     fake = Interval(base=(1,), m=1, members=frozenset({(k,) for k in range(5001)}))
     with pytest.raises(TooLarge):
         export_dot(fake)
+
+
+def test_conjugate_degrees_match_scalar_oracle():
+    for m in range(1, 9):
+        for pi in enumerate_involutions(m):
+            cd = conjugate_degrees(pi)
+            assert cd == scalar_conjugate_degrees(pi), pi
+            assert list(cd) == sorted(cd)  # classify reads its witness in this order
+
+
+@st.composite
+def large_involutions(draw):
+    m = draw(st.integers(9, 12))
+    order = draw(st.permutations(range(1, m + 1)))
+    pairs = draw(st.integers(0, m // 2))
+    pi = list(range(1, m + 1))
+    for a, b in zip(order[: 2 * pairs : 2], order[1 : 2 * pairs : 2]):
+        pi[a - 1], pi[b - 1] = b, a
+    return tuple(pi)
+
+
+@settings(max_examples=5, deadline=None)
+@given(large_involutions())
+def test_conjugate_degrees_match_scalar_oracle_large(pi):
+    assert conjugate_degrees(pi) == scalar_conjugate_degrees(pi)
+
+
+def key(p):
+    return sum(v * (len(p) + 1) ** (len(p) - 1 - k) for k, v in enumerate(p))
+
+
+def test_edge_rows_follow_edges():
+    # the bulk rule gives edges' neighbour along every transposition, and the
+    # member itself where there is no edge (odd m); the keys keep each
+    # distinct neighbour once
+    for m in range(1, 10):
+        cls = w0_class(m)
+        rows = np.array(cls, dtype=np.int8)
+        bulk = edge_rows(rows)
+        keys = distinct_keys(edge_keys(rows)[1])
+        ts = all_transpositions(m)
+        for k, c in enumerate(cls):
+            along = dict(edges(c))
+            assert [tuple(r) for r in bulk[k].tolist()] == [along.get(t, c) for t in ts]
+            got = sorted(keys[k][keys[k] >= 0].tolist())
+            assert got == sorted(map(key, neighbors(c).neighbors))
+
+
+def test_row_keys_sort_lexicographically():
+    for m in range(1, 9):
+        invs = enumerate_involutions(m)
+        keys = row_keys(np.array(invs, dtype=np.int8)).tolist()
+        assert keys == list(map(key, invs)) == sorted(set(keys))
+    assert row_keys(np.array([w0(12)], dtype=np.int8))[0] == key(w0(12))

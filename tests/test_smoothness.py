@@ -106,6 +106,31 @@ def test_sweep_phases():
     assert [line.split()[2] for line in phase_lines] == list(SWEEP_PHASES)
 
 
+def test_sweep_counters():
+    rep = sweep(9)
+    # one mask per w0-class member and neighbour: the 945 members of S_9
+    # (odd m: conjugation keeps the cycle type, so no neighbour leaves the class)
+    assert rep.counters == {"masks": 945, "mask_bytes": 945 * len(rep.rows)}
+    lines = sweep_text(rep).splitlines()
+    assert lines[-2:] == ["# counter masks 945", f"# counter mask_bytes {945 * 2620}"]
+    assert lines[-3].startswith("# phase assemble ")
+
+
+def test_degree_paths_make_no_scalar_calls(monkeypatch):
+    # classify and sweep read degrees from the vectorized kernel only
+    import flagorbits.orbit_graph as og
+    import flagorbits.smoothness as sm
+
+    def scalar(*args):
+        raise AssertionError("scalar degree path used")
+
+    for mod, name in ((og, "neighbors"), (og, "bruhat_leq"), (sm, "w0_degree")):
+        monkeypatch.setattr(mod, name, scalar)
+    assert classify(parse_perm("21435")).conjugate_witness == (parse_perm("43215"), 5)
+    assert classify(identity(8)).w0_degree == 16
+    assert sweep(6).counts[RATIONALLY_SINGULAR] == 30
+
+
 def test_sweep_guard():
     with pytest.raises(TooLarge):
         sweep(13)
