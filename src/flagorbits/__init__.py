@@ -47,14 +47,12 @@ from .orbit_graph import (
 )
 from .patterns import (
     EVEN_FIXED_BETWEEN,
+    SPECS,
     PatternHit,
     PatternSpec,
     bad_patterns,
-    conjectured_rationally_smooth,
-    conjectured_smooth,
-    contains,
     occurrences,
-    pattern_singular,
+    pattern_masks,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

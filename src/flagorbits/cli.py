@@ -3,8 +3,9 @@
 Subcommands: classify, sweep, verify-cases, graph, slice, orbit-of-flag.
 Output is deterministic (fixed ordering, timing lines prefixed '#').
 
-Exit codes: 0 success, 2 coherence violation in an even-size sweep,
-64 usage error, 65 malformed input, 66 size guard.
+Exit codes: 0 success, 1 a failing verify-cases check, 2 coherence
+violation in an even-size sweep, 64 usage error, 65 malformed input,
+66 size guard.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import sys
 
 from .errors import DegenerateFlag, MalformedInput, NotAnOrbitTable, TooLarge
-from .perms import format_perm, is_involution, parse_perm
+from .perms import format_perm, guard_size, is_involution, parse_perm
 from .bruhat import interval, rank
 from .orbit_graph import export_dot
 from .geometry import (
@@ -38,6 +39,7 @@ from .smoothness import (
 )
 
 EXIT_OK = 0
+EXIT_CHECKS_FAILED = 1
 EXIT_COHERENCE = 2
 EXIT_USAGE = 64
 EXIT_BAD_INPUT = 65
@@ -98,7 +100,7 @@ def _cmd_verify_cases(args) -> int:
         wit = ("  [" + "; ".join(r.witnesses) + "]") if r.witnesses else ""
         print(f"({r.item}) {status} {r.label}{wit}")
     print(f"{'all checks pass' if checklist.all_passed else 'CHECKS FAILED'}")
-    return EXIT_OK if checklist.all_passed else 1
+    return EXIT_OK if checklist.all_passed else EXIT_CHECKS_FAILED
 
 
 def _cmd_graph(args) -> int:
@@ -118,6 +120,7 @@ def _cmd_slice(args) -> int:
     if m % 2:
         print(f"flagorbits slice: error: slice needs even size, got m={m}", file=sys.stderr)
         return EXIT_USAGE
+    guard_size(m, "slice")
     n = m // 2
     print(f"slice for {format_perm(pi)} (n={n}, r={rank(pi)})")
     print("variables:")

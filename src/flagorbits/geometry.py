@@ -13,7 +13,9 @@ form and flag orbit identification are available.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import (
     DegenerateFlag,
@@ -22,9 +24,9 @@ from .errors import (
     NotANeighbor,
     NotAnOrbitTable,
 )
-from .perms import Perm, format_perm, is_involution, w0
+from .perms import Perm, format_perm, guard_size, is_involution, w0
 from .bruhat import prefix_violation
-from .orbit_graph import edges, neighbors
+from .orbit_graph import edges
 from .poly import Poly, Var, determinant, exact_rank
 
 FlagMatrix = tuple[tuple[Fraction, ...], ...]
@@ -108,25 +110,33 @@ def attractiveness_check(n: int) -> bool:
     return all(sum(l * w for l, w in zip(lam, wt)) > 0 for wt in weights)
 
 
+@cache
+def _bottom_table(n: int) -> Mapping[Perm, Var]:
+    """The neighbours of w0(2n) in lexicographic order, each mapped to its
+    canonical slice variable: one pass over edges(w0(2n)), once per n.
+
+    Every minor path reads this table first, so it holds the slice guard.
+    """
+    m = 2 * n
+    guard_size(m, "slice")
+    table: dict[Perm, Var] = {}
+    for (a, b), u in edges(w0(m)):
+        if b <= n:  # no slice index; its mirror names the same variable
+            a, b = m + 1 - b, m + 1 - a
+        table.setdefault(u, canonical_var(a, b, n))
+    return MappingProxyType(dict(sorted(table.items())))
+
+
 def neighbor_variable(v: Perm, n: int) -> Var:
     """The canonical variable attached to a neighbor v of the bottom vertex.
 
     The transposition t with v = t.w0 is determined up to the mirror pair
     {t, w0 t w0}, which lands on the same canonical variable.
     """
-    m = 2 * n
-    bottom = w0(m)
-    for t, u in edges(bottom):
-        if u == v:
-            a, b = t
-            if b == m + 1 - a:
-                return (a, b)
-            if b <= n:
-                return (m + 1 - b, m + 1 - a)
-            if a > n:
-                return (a, b)
-            return canonical_var(a, b, n)
-    raise NotANeighbor(f"{format_perm(v)} is not adjacent to {format_perm(bottom)}")
+    var = _bottom_table(n).get(v)
+    if var is None:
+        raise NotANeighbor(f"{format_perm(v)} is not adjacent to {format_perm(w0(2 * n))}")
+    return var
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +166,12 @@ def slice_basis(n: int) -> list[list[Poly]]:
     return rows
 
 
-def slice_gram(n: int) -> list[list[Poly]]:
+@cache
+def slice_gram(n: int) -> tuple[tuple[Poly, ...], ...]:
     """The 2n x 2n symbolic Gram matrix, per the closed-form case table.
 
-    Symmetric, zero below the antidiagonal, ones on the antidiagonal.
+    Symmetric, zero below the antidiagonal, ones on the antidiagonal.  Built
+    once per n and shared by every caller; Poly is immutable.
     """
     m = 2 * n
 
@@ -174,7 +186,7 @@ def slice_gram(n: int) -> list[list[Poly]]:
             return Poly.var(canonical_var(j, m + 1 - i, n))
         return Poly()
 
-    return [[entry(i, j) for j in range(1, m + 1)] for i in range(1, m + 1)]
+    return tuple(tuple(entry(i, j) for j in range(1, m + 1)) for i in range(1, m + 1))
 
 
 def gram_from_basis(n: int) -> list[list[Poly]]:
@@ -213,8 +225,7 @@ def gram_diagnostic(n: int) -> list[tuple[int, int, Poly]]:
 
 
 def _require_excluded_neighbor(pi: Perm, v: Perm, n: int) -> tuple[int, int]:
-    m = 2 * n
-    if v not in neighbors(w0(m)).neighbors:
+    if v not in _bottom_table(n):
         raise NotANeighbor(f"{format_perm(v)} is not adjacent to the bottom vertex")
     hit = prefix_violation(pi, v)
     if hit is None:
@@ -222,28 +233,25 @@ def _require_excluded_neighbor(pi: Perm, v: Perm, n: int) -> tuple[int, int]:
     return hit
 
 
-def _minor_i(gram: list[list[Poly]], v: Perm, hit: tuple[int, int]) -> Poly:
+def _minor_i(v: Perm, hit: tuple[int, int], n: int) -> Poly:
     i, j = hit
     prefix = v[:i]
     v_sorted = sorted(prefix)
     rows = [prefix.index(v_sorted[k]) + 1 for k in range(j)]
-    return determinant(gram, rows, v_sorted[:j])
+    return determinant(slice_gram(n), rows, v_sorted[:j])
 
 
 def minor_condition_ii(pi: Perm, c: Perm, n: int) -> Poly:
     """Minor on the first i rows and columns c_1..c_i at the first prefix
     failure of pi <= c; its vanishing cuts the slice along c's direction."""
     i, _ = _require_excluded_neighbor(pi, c, n)
-    gram = slice_gram(n)
-    rows = list(range(1, i + 1))
-    cols = sorted(c[:i])
-    return determinant(gram, rows, cols)
+    return determinant(slice_gram(n), range(1, i + 1), sorted(c[:i]))
 
 
 def minor_condition_i(pi: Perm, v: Perm, n: int) -> Poly:
     """The j x j minor on rows r_1..r_j (positions of the j smallest prefix
     values of v) and columns v'_1..v'_j, at the first prefix failure."""
-    return _minor_i(slice_gram(n), v, _require_excluded_neighbor(pi, v, n))
+    return _minor_i(v, _require_excluded_neighbor(pi, v, n), n)
 
 
 def slice_ideal(pi: Perm, n: int) -> list[tuple[Perm, Poly]]:
@@ -252,12 +260,11 @@ def slice_ideal(pi: Perm, n: int) -> list[tuple[Perm, Poly]]:
     m = 2 * n
     if len(pi) != m:
         raise MalformedInput(f"{format_perm(pi)} has size {len(pi)}, expected {m}")
-    gram = slice_gram(n)
     out = []
-    for v in sorted(neighbors(w0(m)).neighbors):
+    for v in _bottom_table(n):
         hit = prefix_violation(pi, v)
         if hit is not None:
-            out.append((v, _minor_i(gram, v, hit)))
+            out.append((v, _minor_i(v, hit, n)))
     return out
 
 
@@ -358,12 +365,5 @@ def orbit_of_flag(flag: FlagMatrix) -> Perm:
 def specialize_basis(n: int, values: dict[Var, Fraction]) -> FlagMatrix:
     """Numeric flag from the slice basis at the given parameter values;
     unlisted variables are 0."""
-    rows = []
-    for row in slice_basis(n):
-        rows.append(
-            tuple(
-                p.evaluate({v: values.get(v, Fraction(0)) for v in slice_vars(n)})
-                for p in row
-            )
-        )
-    return tuple(rows)
+    point = {v: values.get(v, Fraction(0)) for v in slice_vars(n)}
+    return tuple(tuple(p.evaluate(point) for p in row) for row in slice_basis(n))

@@ -5,6 +5,9 @@ An index set witnesses a pattern only if it is a union of orbits of pi
 set.  The 2143 pattern carries an optional parity qualifier: a hit counts
 only when the number of fixed points of pi strictly between the two swapped
 pairs is even (zero included).
+
+`pattern_masks` is the one containment decider; `occurrences` only finds
+the witnesses of a pattern already known to occur, and is its test oracle.
 """
 
 from __future__ import annotations
@@ -104,15 +107,6 @@ def occurrences(pi: Perm, spec: PatternSpec) -> list[PatternHit]:
     return hits
 
 
-def contains(pi: Perm, spec: PatternSpec) -> bool:
-    return bool(occurrences(pi, spec))
-
-
-def pattern_mask(pi: Perm) -> int:
-    """The containment mask of one involution, by scanning occurrences."""
-    return sum(1 << k for k, spec in enumerate(SPECS) if contains(pi, spec))
-
-
 def contains_qualified_2143(pi: Perm) -> bool:
     """2143 with an even number of fixed points strictly between the pairs."""
     fixed_upto = list(accumulate((v == i for i, v in enumerate(pi, start=1)), initial=0))
@@ -146,23 +140,3 @@ def _deletion_mask(pi: Perm, memo: dict[Perm, int]) -> int:
             bits |= _deletion_mask(child, memo) if got is None else got
     memo[pi] = bits
     return bits
-
-
-def pattern_singular(pi: Perm) -> tuple[bool, list[tuple[PatternSpec, PatternHit]]]:
-    """Singularity by pattern containment, with one witness per matching pattern.
-
-    True iff pi contains one of the 24 bad patterns, or contains 2143 with an
-    even number of fixed points between the pairs.
-    """
-    certificates = [(spec, hits[0]) for spec in SPECS[:SINGULAR] if (hits := occurrences(pi, spec))]
-    return bool(certificates), certificates
-
-
-def conjectured_rationally_smooth(pi: Perm) -> bool:
-    """Avoidance of every singularity-forcing pattern (sufficiency is open)."""
-    return not pattern_singular(pi)[0]
-
-
-def conjectured_smooth(pi: Perm) -> bool:
-    """Avoids the 24 bad patterns, plain 2143, and 1324 (open in general)."""
-    return not pattern_mask(pi)

@@ -142,28 +142,33 @@ def determinant(matrix: Sequence[Sequence[Poly]], rows: Sequence[int], cols: Seq
     cols = tuple(cols)
     if len(rows) != len(cols):
         raise ValueError("minor must be square")
-    memo: dict[tuple[int, Monomial | tuple], Poly] = {}
+    return _expand(matrix, rows, cols, {})
 
-    def expand(depth: int, cs: tuple[int, ...]) -> Poly:
-        if not cs:
-            return Poly.const(1)
-        key = (depth, cs)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        r = rows[depth]
-        total = Poly()
-        for k, c in enumerate(cs):
-            entry = matrix[r - 1][c - 1]
-            if entry.is_zero():
-                continue
-            sub = expand(depth + 1, cs[:k] + cs[k + 1 :])
-            term = entry * sub
-            total = total + (term if k % 2 == 0 else -term)
-        memo[key] = total
-        return total
 
-    return expand(0, cols)
+def _expand(
+    matrix: Sequence[Sequence[Poly]],
+    rows: tuple[int, ...],
+    cs: tuple[int, ...],
+    memo: dict[tuple[int, ...], Poly],
+) -> Poly:
+    # The minor on the last len(cs) rows and the columns cs.  A module-level
+    # function: a recursive closure would hold memo in a reference cycle
+    # past the call.
+    if not cs:
+        return Poly.const(1)
+    got = memo.get(cs)
+    if got is not None:
+        return got
+    r = rows[len(rows) - len(cs)]
+    total = Poly()
+    for k, c in enumerate(cs):
+        entry = matrix[r - 1][c - 1]
+        if entry.is_zero():
+            continue
+        term = entry * _expand(matrix, rows, cs[:k] + cs[k + 1 :], memo)
+        total = total + (term if k % 2 == 0 else -term)
+    memo[cs] = total
+    return total
 
 
 def exact_rank(matrix: Iterable[Iterable[Fraction | int]]) -> int:

@@ -36,9 +36,7 @@ from .patterns import (
     PatternSpec,
     bad_patterns,
     occurrences,
-    pattern_mask,
     pattern_masks,
-    pattern_singular,
 )
 
 SWEEP_PHASES = ("enumerate", "dominance+rank", "degree-masks", "patterns", "assemble")
@@ -129,7 +127,7 @@ def classify(pi: Perm) -> ClassificationReport:
     r = rank(pi)
     cd = conjugate_degrees(pi)  # lexicographic; w0 lies above every pi
     witness = next(((c, d) for c, d in cd.items() if d != r), None)
-    return _report(pi, r, cd[w0(m)], witness, pattern_mask(pi), cd)
+    return _report(pi, r, cd[w0(m)], witness, pattern_masks([pi])[0], cd)
 
 
 def sweep(m: int) -> SweepReport:
@@ -241,8 +239,8 @@ class CaseChecklist:
         return all(r.passed for r in self.results)
 
 
-def _conjugate_excess(pi: Perm, r: int) -> list[tuple[Perm, int]]:
-    return sorted((c, d) for c, d in conjugate_degrees(pi).items() if d > r)
+def _conjugate_excess(degrees: dict[Perm, int], r: int) -> list[tuple[Perm, int]]:
+    return sorted((c, d) for c, d in degrees.items() if d > r)
 
 
 def verify_known_cases() -> CaseChecklist:
@@ -259,7 +257,7 @@ def verify_known_cases() -> CaseChecklist:
         r, deg = rank(p), w0_degree(p)
         label = format_perm(p)
         if p in DEGREE_EXCEPTION_PATTERNS:
-            excess = _conjugate_excess(p, r)
+            excess = _conjugate_excess(conjugate_degrees(p), r)
             ok = deg == r and bool(excess)
             wit = tuple(f"{format_perm(c)}:deg={d}>r={r}" for c, d in excess[:1])
             results.append(CaseResult("a", f"{label} conjugate excess", ok, wit))
@@ -271,7 +269,7 @@ def verify_known_cases() -> CaseChecklist:
     # (b) the four insertion exceptions: bottom degree matches, conjugate excess.
     for p in DEGREE_EXCEPTION_INSERTIONS:
         r, deg = rank(p), w0_degree(p)
-        excess = _conjugate_excess(p, r)
+        excess = _conjugate_excess(conjugate_degrees(p), r)
         ok = deg == r and bool(excess)
         wit = (f"deg={deg} r={r}",) + tuple(
             f"{format_perm(c)}:deg={d}" for c, d in excess[:1]
@@ -336,12 +334,11 @@ def verify_known_cases() -> CaseChecklist:
 
     # (e) 21435: bottom degree matches the rank yet the all-conjugates test
     # fails, and the parity-qualified 2143 containment flags it.
-    s = parse_perm("21435")
-    r, deg = rank(s), w0_degree(s)
-    excess = _conjugate_excess(s, r)
+    rep = classify(parse_perm("21435"))
+    r, deg = rep.rank, rep.w0_degree
+    excess = _conjugate_excess(rep.conjugate_degrees, r)
     has_43215 = any(c == parse_perm("43215") for c, _ in excess)
-    singular, _ = pattern_singular(s)
-    ok = deg == r == 4 and has_43215 and singular
+    ok = deg == r == 4 and has_43215 and rep.pattern_singular
     results.append(
         CaseResult(
             "e",

@@ -154,7 +154,7 @@ def test_criterion_4_graph_endpoints():
 
 def test_criterion_5_slice_verification():
     start = time.perf_counter()
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         m = 2 * n
         g = slice_gram(n)
         for i in range(m):
@@ -186,7 +186,7 @@ def test_criterion_5_slice_verification():
         assert coeff != 0
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"slice verification took {elapsed:.1f}s"
-    _report(5, "slice verification n in {1,2,3}")
+    _report(5, "slice verification n in {1,2,3,4}")
 
 
 def test_criterion_6_flag_orbit_oracle():

@@ -107,6 +107,17 @@ def test_verify_cases(capsys):
     assert not any(" FAIL " in line for line in lines)
 
 
+def test_verify_cases_failure_exits_1(capsys, monkeypatch):
+    import flagorbits.cli as cli
+    from flagorbits.smoothness import CaseChecklist, CaseResult
+
+    failing = CaseChecklist([CaseResult("e", "stubbed check", False)])
+    monkeypatch.setattr(cli, "verify_known_cases", lambda: failing)
+    code, out, _ = run(capsys, "verify-cases")
+    assert code == 1
+    assert out.splitlines() == ["(e) FAIL stubbed check", "CHECKS FAILED"]
+
+
 def test_graph_stdout_and_file(tmp_path, capsys):
     code, out, _ = run(capsys, "graph", "2143")
     assert code == 0
@@ -146,6 +157,13 @@ def test_slice_odd_size(capsys):
     code, _, err = run(capsys, "slice", "21435")
     assert code == 64
     assert "even size" in err
+
+
+def test_slice_guard(capsys):
+    code, out, err = run(capsys, "slice", ",".join(str(k) for k in range(14, 0, -1)))
+    assert code == 66
+    assert out == ""  # refused before the header is printed
+    assert err == "flagorbits: too large: slice guard is m <= 12, got 14\n"
 
 
 def test_orbit_of_flag(tmp_path, capsys):

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from flagorbits.errors import (
     DegenerateFlag,
     InInterval,
     MalformedInput,
     NotANeighbor,
+    TooLarge,
 )
 from flagorbits.perms import enumerate_involutions, identity, parse_perm, w0
 from flagorbits.bruhat import bruhat_leq, codim, rank
@@ -178,7 +180,15 @@ def test_slice_ideal_examples():
 def test_slice_ideal_builds_shared_data_once(monkeypatch):
     import flagorbits.geometry as geo
 
-    calls = {"neighbors": 0, "slice_gram": 0, "prefix_violation": 0}
+    pi = parse_perm("21436587")
+
+    def run():
+        ideal = slice_ideal(pi, 4)
+        return ideal, [monomial_claim(pi, v, 4) for v, _ in ideal]
+
+    run()  # warm-up: builds the n = 4 neighbour table and Gram matrix
+    # canonical_var names every Gram entry and every neighbour's variable
+    calls = {"edges": 0, "canonical_var": 0, "prefix_violation": 0}
     for name in calls:
         real = getattr(geo, name)
 
@@ -187,12 +197,76 @@ def test_slice_ideal_builds_shared_data_once(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(geo, name, counted)
-    pi = parse_perm("21436587")
-    ideal = slice_ideal(pi, 4)
-    assert calls == {"neighbors": 1, "slice_gram": 1, "prefix_violation": 16}
+    ideal, claims = run()
+    assert all(claims)
+    assert calls == {"edges": 0, "canonical_var": 0, "prefix_violation": 16 + len(ideal)}
     monkeypatch.undo()
     # each minor equals the public one, which checks its arguments afresh
     assert ideal == [(v, minor_condition_i(pi, v, 4)) for v, _ in ideal]
+
+
+def test_slice_guard_fires_before_work(monkeypatch):
+    import flagorbits.geometry as geo
+
+    def no_work(*args):
+        raise AssertionError("slice started work")
+
+    for name in ("edges", "prefix_violation", "determinant", "slice_gram"):
+        monkeypatch.setattr(geo, name, no_work)
+    for n, raised in ((7, TooLarge), (6, AssertionError)):  # the guard admits m = 12
+        pi, v = identity(2 * n), min(neighbors(w0(2 * n)).neighbors)
+        with pytest.raises(raised):
+            slice_ideal(pi, n)
+        for call in (minor_condition_i, minor_condition_ii, monomial_claim):
+            with pytest.raises(raised):
+                call(pi, v, n)
+    with pytest.raises(TooLarge):
+        neighbor_variable(w0(14), 7)
+
+
+def _first_failure(u, v):
+    """The least i, then the least j, with sorted(u[:i])[j-1] > sorted(v[:i])[j-1]."""
+    for i in range(1, len(u) + 1):
+        for j, (a, b) in enumerate(zip(sorted(u[:i]), sorted(v[:i])), start=1):
+            if a > b:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_minors_against_sympy_determinants(n):
+    # the Gram matrix as B J B^T in sympy, independent of slice_gram and determinant
+    m = 2 * n
+    syms = {v: sympy.Symbol(f"a{v[0]}_{v[1]}") for v in slice_vars(n)}
+
+    def to_sympy(poly):
+        return sympy.Add(*(
+            c * sympy.Mul(*(syms[v] ** e for v, e in mono)) for mono, c in poly.terms.items()
+        ))
+
+    basis = sympy.Matrix([[to_sympy(p) for p in row] for row in slice_basis(n)])
+    form = sympy.Matrix(m, m, lambda i, j: int(i + j == m - 1))
+    gram = (basis * form * basis.T).applyfunc(sympy.expand)
+
+    def oracle(rows, cols):
+        return gram.extract([r - 1 for r in rows], [c - 1 for c in cols]).det(method="berkowitz")
+
+    bottom = sorted(neighbors(w0(m)).neighbors)
+    checked = 0
+    for pi in enumerate_involutions(m):
+        for v in bottom:
+            hit = _first_failure(pi, v)
+            if hit is None:
+                continue
+            i, j = hit
+            prefix = sorted(v[:i])
+            rows_i = [v.index(x) + 1 for x in prefix[:j]]
+            got_i = to_sympy(minor_condition_i(pi, v, n))
+            assert sympy.expand(oracle(rows_i, prefix[:j]) - got_i) == 0, (pi, v)
+            got_ii = to_sympy(minor_condition_ii(pi, v, n))
+            assert sympy.expand(oracle(range(1, i + 1), prefix) - got_ii) == 0, (pi, v)
+            checked += 1
+    assert checked == {1: 1, 2: 18, 3: 286}[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -15,17 +15,15 @@ from flagorbits.patterns import (
     PATTERN_1324,
     PATTERN_2143,
     QUALIFIED_2143,
+    SINGULAR,
     SPECS,
     PatternSpec,
     bad_patterns,
-    conjectured_rationally_smooth,
-    conjectured_smooth,
-    contains,
     occurrences,
     pattern_masks,
-    pattern_singular,
     standardize,
 )
+from flagorbits.smoothness import classify
 
 
 def test_occurrences_qualified_examples():
@@ -37,9 +35,15 @@ def test_occurrences_qualified_examples():
 
 
 def test_contains_examples():
-    assert not contains((3, 4, 1, 2), PatternSpec(PATTERN_2143))
-    assert contains(parse_perm("14325"), PatternSpec(parse_perm("14325")))
-    assert contains(parse_perm("21435"), QUALIFIED_2143)
+    cases = [
+        ((3, 4, 1, 2), PatternSpec(PATTERN_2143), False),
+        (parse_perm("14325"), PatternSpec(parse_perm("14325")), True),
+        (parse_perm("21435"), QUALIFIED_2143, True),
+    ]
+    masks = pattern_masks([pi for pi, _, _ in cases])
+    for (pi, spec, contained), mask in zip(cases, masks):
+        assert bool(mask >> SPECS.index(spec) & 1) == contained
+        assert bool(occurrences(pi, spec)) == contained
 
 
 def test_bad_patterns_list():
@@ -122,21 +126,27 @@ def test_pattern_spec_validation():
         PatternSpec((1, 2), EVEN_FIXED_BETWEEN)  # qualifier only for 2143
 
 
+def _oracle_singular(pi):
+    return any(occurrences(pi, spec) for spec in SPECS[:SINGULAR])
+
+
 def test_pattern_singular():
-    assert pattern_singular(PATTERN_2143)[0]
-    assert not pattern_singular((3, 4, 1, 2))[0]
-    singular, certs = pattern_singular(parse_perm("14325"))
-    assert singular
+    for pi, singular in [(PATTERN_2143, True), ((3, 4, 1, 2), False), (parse_perm("14325"), True)]:
+        assert classify(pi).pattern_singular == _oracle_singular(pi) == singular
+    certs = classify(parse_perm("14325")).certificates
     assert any(spec.pattern == parse_perm("14325") for spec, _ in certs)
 
 
 def test_conjectured_flags():
-    assert conjectured_rationally_smooth(PATTERN_1324)
-    assert not conjectured_smooth(PATTERN_1324)
-    assert conjectured_rationally_smooth((3, 4, 1, 2))
-    assert conjectured_smooth((3, 4, 1, 2))
-    assert not conjectured_rationally_smooth(PATTERN_2143)
-    assert not conjectured_smooth(PATTERN_2143)
+    # (pi, conjectured rationally smooth, conjectured smooth)
+    for pi, rat_smooth, smooth in [
+        (PATTERN_1324, True, False),
+        ((3, 4, 1, 2), True, True),
+        (PATTERN_2143, False, False),
+    ]:
+        rep = classify(pi)
+        assert rep.conjectured_rationally_smooth == (not _oracle_singular(pi)) == rat_smooth
+        assert rep.conjectured_smooth == (_oracle_mask(pi) == 0) == smooth
 
 
 def test_self_containment_unique_hit():

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from flagorbits.errors import MalformedInput, TooLarge
-from flagorbits.patterns import pattern_singular
+from flagorbits.patterns import SINGULAR, SPECS, occurrences
 from flagorbits.perms import format_perm, identity, parse_perm, w0
 from flagorbits.smoothness import (
     NOT_APPLICABLE,
@@ -49,7 +49,8 @@ def test_classify_21435():
     assert not rep.conjugates_pass
     assert rep.conjugate_witness == (parse_perm("43215"), 5)
     assert rep.pattern_singular  # qualified 2143 at {1,2,3,4}
-    assert rep.certificates == pattern_singular(rep.perm)[1]
+    oracle = [(spec, hits[0]) for spec in SPECS[:SINGULAR] if (hits := occurrences(rep.perm, spec))]
+    assert rep.certificates == oracle
 
 
 def test_sweep_m2():
@@ -145,7 +146,7 @@ def test_classify_guard_fires_before_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("classify started work")
 
-    for name in ("rank", "conjugate_degrees", "w0_degree", "pattern_mask"):
+    for name in ("rank", "conjugate_degrees", "w0_degree", "pattern_masks"):
         monkeypatch.setattr(sm, name, no_work)
     with pytest.raises(TooLarge):
         classify(identity(13))
