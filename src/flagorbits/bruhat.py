@@ -3,10 +3,10 @@
 The scalar comparison is the sorted-prefix criterion: u <= v iff for every
 prefix length i, sorting the first i entries of each increasingly gives
 u'_j <= v'_j for all j.  Its vectorized form is Fulton's rank-table
-criterion on many involutions at once: u <= v iff dominance(u) >=
-dominance(v) entrywise.  Orbit-closure containment corresponds to the
-reverse of this order, so the interval below pi consists of the involutions
-Bruhat-above pi.
+criterion on many involutions at once: u <= v iff u's table
+d[i][j] = #{k <= i : u(k) <= j} is entrywise >= v's.  Orbit-closure
+containment corresponds to the reverse of this order, so the interval
+below pi consists of the involutions Bruhat-above pi.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .perms import Perm, enumerate_involutions, guard_size
 
 # Bytes of comparison indicators a table build holds at once.
 TABLE_CHUNK_BYTES = 1 << 16
+# Bytes of packed masks `below_masks` builds at once.
+MASK_CHUNK_BYTES = 1 << 22
 
 
 def prefix_violation(u: Perm, v: Perm) -> tuple[int, int] | None:
@@ -48,23 +50,6 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     return prefix_violation(u, v) is None
 
 
-def dominance(p: Perm) -> tuple[int, ...]:
-    """Flattened table d[i][j] = #{k <= i : p(k) <= j}, 0-based row-major.
-
-    u <= v in Bruhat order iff dominance(u) >= dominance(v) entrywise
-    (smaller elements accumulate small values earlier); the vectorizable
-    form of the sorted-prefix test.
-    """
-    m = len(p)
-    flat: list[int] = []
-    row = [0] * m
-    for i in range(m):
-        for j in range(p[i] - 1, m):
-            row[j] += 1
-        flat.extend(row)
-    return tuple(flat)
-
-
 def table_slices(
     rows: np.ndarray, entries: np.ndarray | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -72,7 +57,7 @@ def table_slices(
 
     rows is a (K, m) int8 array of one-line involutions.  Yields (s, part):
     column k of part is the table of rows[s + k], and its row e holds d[i][j]
-    of `dominance` for the e-th pair i <= j <= m-2 of np.triu_indices(m - 1).
+    (0-based) for the e-th pair i <= j <= m-2 of np.triu_indices(m - 1).
     The table of an involution is symmetric and its last row and column are
     constant, so these m(m-1)/2 entries decide comparisons between
     involutions.  `entries` selects a subset of the rows e; with none, nothing
@@ -120,10 +105,48 @@ def above(pi: Perm, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def below(table: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """mask[k] = (involution k) <= v in Bruhat order, for a full
-    `dominance_table` and v's column of it."""
-    return (table >= col[:, None]).all(axis=0)
+def threshold_bits(rows: np.ndarray) -> np.ndarray:
+    """bits[e, t, w]: word w of (table[e] >= t) for the `dominance_table` of
+    a (K, m) int8 array of involutions and each value t in 0..m-1 an entry
+    can take.  Row k is bit k of the uint8 view in np.packbits order, so
+    `np.unpackbits` of that view lists the rows in order; bits past K are 0."""
+    m = rows.shape[1]
+    bits = np.packbits(dominance_table(rows)[:, None] >= np.arange(m)[:, None], axis=2)
+    return np.pad(bits, ((0, 0), (0, 0), (0, -bits.shape[2] % 8))).view(np.uint64)
+
+
+def essential_entries(rows: np.ndarray) -> np.ndarray:
+    """ess[k, e]: reduced entry e of `table_slices` is a Fulton corner (p, q)
+    of the involution v = rows[k]: v(p) <= q < v(p+1), v(q) <= p < v(q+1).
+
+    Elsewhere u's table >= v's at (p, q) follows from the same at a
+    neighbouring entry, where v's steps by one and u's by at most one, or
+    v's stays and u's cannot fall; so the corners decide u <= v (Fulton's
+    essential set, Duke Math. J. 65, 1992).
+    """
+    m = rows.shape[1]
+    q = np.arange(1, m)
+    step = (rows[:, :-1, None] <= q) & (rows[:, 1:, None] > q)  # [k, p-1, q-1]
+    i, j = np.triu_indices(max(m - 1, 0))
+    return (step & step.transpose(0, 2, 1))[:, i, j]
+
+
+def below_masks(bits: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, int]:
+    """Packed <=-masks, laid out as `threshold_bits`: bit k of out[r] says
+    that row k behind `bits` is <= vertices[r]; bits past the last row are
+    unspecified.  Each mask is the AND of one threshold row per essential
+    entry of its vertex.  Also returns the number of entries compared."""
+    out = np.empty((len(vertices), bits.shape[2]), dtype=np.uint64)
+    step, compared = max(1, MASK_CHUNK_BYTES // max(1, out[:1].nbytes)), 0
+    for s in range(0, len(vertices), step):
+        part, masks = vertices[s : s + step], out[s : s + step]
+        ess, col = essential_entries(part), dominance_table(part)
+        masks[:] = ~np.uint64(0)
+        for e in np.flatnonzero(ess.any(axis=0)):
+            hit = np.flatnonzero(ess[:, e])
+            masks[hit] &= bits[e, col[e, hit]]
+        compared += int(ess.sum())
+    return out, compared
 
 
 def max_rank(m: int) -> int:

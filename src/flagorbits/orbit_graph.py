@@ -13,7 +13,7 @@ from those rows with the vectorized comparison of `bruhat.above`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -28,7 +28,8 @@ from .perms import (
     w0,
     w0_class,
 )
-from .bruhat import Interval, above, bruhat_leq
+from .bruhat import Interval, above, below_masks, threshold_bits
+from .bruhat import bruhat_leq  # noqa: F401  (bench/tracer.py patches it here)
 
 DOT_VERTEX_GUARD = 5000
 # Neighbour rows conjugate_degrees holds at once.
@@ -66,15 +67,6 @@ def degree_in(v: Perm, iv: Interval) -> int:
     if v not in iv.members:
         raise NotInInterval(f"{format_perm(v)} not in interval of {format_perm(iv.base)}")
     return len(neighbors(v).neighbors & iv.members)
-
-
-def w0_degree(pi: Perm) -> int:
-    """Degree of the bottom vertex w0 in I_pi.
-
-    Counts neighbors u of w0 with pi <= u; avoids building the interval.
-    """
-    m = len(pi)
-    return sum(1 for u in neighbors(w0(m)).neighbors if bruhat_leq(pi, u))
 
 
 def edge_rows(rows: np.ndarray) -> np.ndarray:
@@ -154,6 +146,27 @@ def conjugate_degrees(pi: Perm) -> dict[Perm, int]:
         degs = (distinct_keys(keys) >= 0).sum(axis=1)
         out.update(zip(map(cls.__getitem__, part.tolist()), degs.tolist()))
     return out
+
+
+def bottom_degrees(perms: Iterable[Perm]) -> dict[Perm, int]:
+    """Degree of the bottom vertex w0 in I_pi for each involution pi: the
+    number of neighbours of w0 above pi, by `bruhat.below_masks`, one batch
+    per size."""
+    groups: dict[int, list[Perm]] = {}
+    for pi in perms:
+        groups.setdefault(len(pi), []).append(pi)
+    out: dict[Perm, int] = {}
+    for m, group in groups.items():
+        top = np.array(sorted(neighbors(w0(m)).neighbors), dtype=np.int8).reshape(-1, m)
+        masks, _ = below_masks(threshold_bits(np.array(group, dtype=np.int8)), top)
+        degs = np.unpackbits(masks.view(np.uint8), axis=1, count=len(group)).sum(axis=0)
+        out.update(zip(group, degs.tolist()))
+    return out
+
+
+def w0_degree(pi: Perm) -> int:
+    """Degree of the bottom vertex w0 in I_pi; `bottom_degrees` of one."""
+    return bottom_degrees([pi])[pi]
 
 
 def export_dot(iv: Interval) -> str:

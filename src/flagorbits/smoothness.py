@@ -8,6 +8,7 @@ classifier are reported side by side.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,8 +26,8 @@ from .perms import (
     w0,
     w0_class,
 )
-from .bruhat import below, dominance_table, max_rank, rank
-from .orbit_graph import conjugate_degrees, distinct_keys, edge_keys, row_keys, w0_degree
+from .bruhat import below_masks, max_rank, rank, threshold_bits
+from .orbit_graph import bottom_degrees, conjugate_degrees, distinct_keys, edge_keys, row_keys
 from .patterns import (
     EVEN_FIXED_BETWEEN,
     PATTERN_2143,
@@ -38,6 +39,12 @@ from .patterns import (
     occurrences,
     pattern_masks,
 )
+
+log = logging.getLogger(__name__)
+
+# Bytes of neighbour masks one chunk of class members may build, counting
+# m(m-1)/2 neighbours per member.
+CLASS_CHUNK_BYTES = 1 << 25
 
 SWEEP_PHASES = ("enumerate", "dominance+rank", "degree-masks", "patterns", "assemble")
 
@@ -82,8 +89,9 @@ class SweepReport:
     counts: dict[str, int]
     elapsed: float
     phases: dict[str, float]  # seconds per SWEEP_PHASES entry
-    # masks: distinct <=-masks built (one per w0-class member and neighbour);
-    # mask_bytes: peak bytes held by them.
+    # masks: packed <=-masks built (one per w0-class member and neighbour);
+    # mask_bytes: peak bytes of them held at once; mask_entries: essential
+    # table entries they compared.
     counters: dict[str, int]
 
 
@@ -133,9 +141,11 @@ def classify(pi: Perm) -> ClassificationReport:
 def sweep(m: int) -> SweepReport:
     """Classify every involution of S_m; deterministic lexicographic rows.
 
-    Degree data comes from one <=-mask per w0-class member and neighbour,
-    each a vectorized comparison on the entry-major dominance table; pattern
-    containment from one orbit-deletion pass over all sizes up to m.
+    Degree data comes from one bit-packed <=-mask per w0-class member and
+    neighbour (`bruhat.below_masks`).  The class masks are kept; the masks
+    of the neighbours outside the class are built per chunk of members and
+    dropped after it.  Pattern containment comes from one orbit-deletion
+    pass over all sizes up to m.
     """
     if m < 1:
         raise MalformedInput(f"sweep needs m >= 1, got {m}")
@@ -143,36 +153,48 @@ def sweep(m: int) -> SweepReport:
 
     stamps = [time.perf_counter()]
     invs = enumerate_involutions(m)
-    n_inv = len(invs)
     inv_rows = np.array(invs, dtype=np.int8)
-    inv_keys = row_keys(inv_rows)  # ascending, as invs are lexicographic
     stamps.append(time.perf_counter())
-    table = dominance_table(inv_rows)
-    ranks = np.array([rank(p) for p in invs], dtype=np.int32)
+    bits = threshold_bits(inv_rows)
+    ranks = np.zeros(64 * bits.shape[2], dtype=np.int32)  # one per mask bit
+    ranks[: len(invs)] = [rank(p) for p in invs]
     stamps.append(time.perf_counter())
 
     cls = w0_class(m)
     cls_rows = np.array(cls, dtype=np.int8)
-    own = row_keys(cls_rows)
-    nbr_keys = distinct_keys(edge_keys(cls_rows)[1])
-    vertices = np.union1d(own, nbr_keys[nbr_keys >= 0])
-    # masks[r, i] = invs[i] <= the r-th vertex in Bruhat order
-    masks = np.empty((len(vertices), n_inv), dtype=bool)
-    for r, col in enumerate(np.searchsorted(inv_keys, vertices).tolist()):
-        masks[r] = below(table, table[:, col])
-    own = np.searchsorted(vertices, own)
-    nbr_at = np.searchsorted(vertices, nbr_keys)
-
-    as_int = masks.view(np.uint8)  # degrees are at most m(m-1)/2 <= 66
-    conj_ok = np.ones(n_inv, dtype=bool)
+    own = row_keys(cls_rows)  # ascending, as w0_class is lexicographic
+    cls_masks, compared = below_masks(bits, cls_rows)
+    built, held = len(cls), cls_masks.nbytes
+    step = max(1, CLASS_CHUNK_BYTES // (max(1, m * (m - 1) // 2) * cls_masks[:1].nbytes))
+    conj_ok = np.full(bits.shape[2], ~np.uint64(0))  # packed like the masks
     witnesses: dict[int, tuple[Perm, int]] = {}
-    for k, c in enumerate(cls):
-        deg_c = as_int[nbr_at[k][nbr_keys[k] >= 0]].sum(axis=0, dtype=np.uint8)
-        viol = masks[own[k]] & (deg_c != ranks)
-        for i in np.flatnonzero(viol & conj_ok).tolist():
-            witnesses[i] = (c, int(deg_c[i]))
-        conj_ok &= ~viol
-    deg_w0 = deg_c  # w0 is the last class member and lies above every row
+    for s in range(0, len(cls), step):
+        nbr, keys = edge_keys(cls_rows[s : s + step])
+        # Neighbours outside the class are built for this chunk only: each
+        # has exactly one class neighbour, so each is built once.
+        found, first = np.unique(keys, return_index=True)
+        outside = (own[np.searchsorted(own, found).clip(max=len(own) - 1)] != found) & (found >= 0)
+        new, n = below_masks(bits, nbr.reshape(-1, m)[first[outside]])
+        built, compared = built + len(new), compared + n
+        held = max(held, cls_masks.nbytes + new.nbytes)
+        keys = distinct_keys(keys)
+        at_cls = np.searchsorted(own, keys).clip(max=len(own) - 1)
+        is_cls, at_new = own[at_cls] == keys, np.searchsorted(found[outside], keys)
+        for k, c in enumerate(cls[s : s + step]):
+            words = np.flatnonzero(cls_masks[s + k])  # those holding some involution <= c
+            nbr_masks = np.concatenate(
+                (cls_masks[at_cls[k][is_cls[k]]], new[at_new[k][~is_cls[k] & (keys[k] >= 0)]])
+            )
+            nbr_masks = np.take(nbr_masks, words, axis=1).view(np.uint8)
+            deg_c = np.unpackbits(nbr_masks, axis=1).sum(axis=0, dtype=np.uint8)
+            viol = np.packbits(deg_c != ranks.reshape(-1, 64)[words].ravel()).view(np.uint64)
+            viol &= cls_masks[s + k, words]
+            fresh = np.flatnonzero(np.unpackbits((viol & conj_ok[words]).view(np.uint8)))
+            conj_ok[words] &= ~viol
+            at = words[fresh // 64] * 64 + fresh % 64
+            witnesses.update(zip(at.tolist(), [(c, d) for d in deg_c[fresh].tolist()]))
+        log.info("sweep m=%d: %d of %d class members, %d masks", m, s + k + 1, len(cls), built)
+    deg_w0 = deg_c  # w0, the last member, lies above every row: its words are all words
     stamps.append(time.perf_counter())
     pattern_bits = pattern_masks(invs)
     stamps.append(time.perf_counter())
@@ -198,7 +220,7 @@ def sweep(m: int) -> SweepReport:
         counts=counts,
         elapsed=stamps[-1] - stamps[0],
         phases={name: b - a for name, a, b in zip(SWEEP_PHASES, stamps, stamps[1:])},
-        counters={"masks": len(vertices), "mask_bytes": masks.nbytes},
+        counters={"masks": built, "mask_bytes": held, "mask_entries": compared},
     )
 
 
@@ -249,12 +271,20 @@ def verify_known_cases() -> CaseChecklist:
     Failures are returned as data, never raised.
     """
     results: list[CaseResult] = []
+    patterns = [spec.pattern for spec in bad_patterns()]
+    exceptions = DEGREE_EXCEPTION_INSERTIONS
+    grown = [p for p in patterns if p != PATTERN_2143 and len(p) < INSERTION_SIZE_CAP]
+    inserts = [
+        (p, pos, insert_fixed_point(p, pos))
+        for p in grown + list(exceptions)
+        for pos in range(1, len(p) + 2)
+    ]
+    degree = bottom_degrees(patterns + list(exceptions) + [s for _, _, s in inserts])
 
     # (a) every bad pattern has bottom-degree excess, except the two where a
     # conjugate carries the excess instead.
-    for spec in bad_patterns():
-        p = spec.pattern
-        r, deg = rank(p), w0_degree(p)
+    for p in patterns:
+        r, deg = rank(p), degree[p]
         label = format_perm(p)
         if p in DEGREE_EXCEPTION_PATTERNS:
             excess = _conjugate_excess(conjugate_degrees(p), r)
@@ -267,8 +297,8 @@ def verify_known_cases() -> CaseChecklist:
             )
 
     # (b) the four insertion exceptions: bottom degree matches, conjugate excess.
-    for p in DEGREE_EXCEPTION_INSERTIONS:
-        r, deg = rank(p), w0_degree(p)
+    for p in exceptions:
+        r, deg = rank(p), degree[p]
         excess = _conjugate_excess(conjugate_degrees(p), r)
         ok = deg == r and bool(excess)
         wit = (f"deg={deg} r={r}",) + tuple(
@@ -277,43 +307,20 @@ def verify_known_cases() -> CaseChecklist:
         results.append(CaseResult("b", f"{format_perm(p)} conjugate excess", ok, wit))
 
     # (c) single-fixed-point insertions into bad patterns other than 2143 keep
-    # bottom-degree excess, apart from the four insertions handled in (b).
-    bad_inserts: list[str] = []
-    checked = 0
-    for spec in bad_patterns():
-        p = spec.pattern
-        if p == PATTERN_2143 or len(p) + 1 > INSERTION_SIZE_CAP:
-            continue
-        for pos in range(1, len(p) + 2):
-            s = insert_fixed_point(p, pos)
-            if s in DEGREE_EXCEPTION_INSERTIONS:
-                continue
-            checked += 1
-            if w0_degree(s) <= rank(s):
-                bad_inserts.append(f"{format_perm(p)}+fix@{pos}={format_perm(s)}")
-    results.append(
-        CaseResult(
-            "c",
-            "bad-pattern insertions keep bottom excess",
-            not bad_inserts,
-            tuple(bad_inserts) or (f"{checked} insertions checked",),
+    # bottom-degree excess, apart from the four insertions handled in (b); one
+    # more fixed point on top of those four restores it.
+    kept = [x for x in inserts if x[0] not in exceptions and x[2] not in exceptions]
+    on_exceptions = [x for x in inserts if x[0] in exceptions]
+    for label, group, note in (
+        ("bad-pattern insertions keep bottom excess", kept, (f"{len(kept)} insertions checked",)),
+        ("exception insertions restore bottom excess", on_exceptions, ()),
+    ):
+        bad = tuple(
+            f"{format_perm(p)}+fix@{pos}={format_perm(s)}"
+            for p, pos, s in group
+            if degree[s] <= rank(s)
         )
-    )
-    # ... and one more fixed point on top of the four exceptions restores it.
-    bad_inserts = []
-    for p in DEGREE_EXCEPTION_INSERTIONS:
-        for pos in range(1, len(p) + 2):
-            s = insert_fixed_point(p, pos)
-            if w0_degree(s) <= rank(s):
-                bad_inserts.append(f"{format_perm(p)}+fix@{pos}={format_perm(s)}")
-    results.append(
-        CaseResult(
-            "c",
-            "exception insertions restore bottom excess",
-            not bad_inserts,
-            tuple(bad_inserts),
-        )
-    )
+        results.append(CaseResult("c", label, not bad, bad or note))
 
     # (d) 2143 plus one fixed point not between the pairs: among the
     # w0-conjugates in the interval fixing that point, exactly one has excess

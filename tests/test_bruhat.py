@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagorbits.errors import SizeMismatch, TooLarge
 from flagorbits.perms import (
@@ -14,16 +15,24 @@ from flagorbits.perms import (
 )
 from flagorbits.bruhat import (
     above,
-    below,
+    below_masks,
     bruhat_leq,
     codim,
-    dominance,
     dominance_table,
+    essential_entries,
     interval,
     max_rank,
     prefix_violation,
     rank,
+    threshold_bits,
 )
+
+
+def dominance(p):
+    """Oracle for the table: flattened d[i][j] = #{k <= i : p(k) <= j},
+    0-based row-major."""
+    m = len(p)
+    return tuple(sum(1 for k in range(i + 1) if p[k] <= j + 1) for i in range(m) for j in range(m))
 
 
 def _inversions(p):
@@ -102,8 +111,8 @@ def test_dominance_agrees_with_leq():
 
 
 def test_reduced_table_compare_matches_leq():
-    # the entry-major table keeps d[i][j] for i <= j <= m-2 only; both
-    # vectorized comparisons must agree with the scalar comparator
+    # the entry-major table keeps d[i][j] for i <= j <= m-2 only; the
+    # vectorized comparison must agree with the scalar comparator
     for m in range(1, 7):
         invs = enumerate_involutions(m)
         rows = np.array(invs, dtype=np.int8)
@@ -112,8 +121,73 @@ def test_reduced_table_compare_matches_leq():
         kept = [i * m + j for i in range(m - 1) for j in range(i, m - 1)]
         for k, v in enumerate(invs):
             assert table[:, k].tolist() == [dominance(v)[e] for e in kept]
-            assert below(table, table[:, k]).tolist() == [bruhat_leq(u, v) for u in invs]
             assert above(v, rows).tolist() == [bruhat_leq(v, u) for u in invs]
+
+
+def _corners(v):
+    """Fulton corners of v by the definition, as reduced (p, q) with p <= q."""
+    m, inv = len(v), {b: a for a, b in enumerate(v, start=1)}
+    return {
+        (min(p, q), max(p, q))
+        for p in range(1, m)
+        for q in range(1, m)
+        if v[p - 1] <= q < v[p] and inv[q] <= p < inv[q + 1]
+    }
+
+
+def _unpack(masks, count):
+    return np.unpackbits(masks.view(np.uint8), axis=1, count=count).astype(bool)
+
+
+def test_essential_entries_match_definition():
+    for m in range(1, 8):
+        invs = enumerate_involutions(m)
+        i, j = np.triu_indices(max(m - 1, 0))
+        ess = essential_entries(np.array(invs, dtype=np.int8))
+        for v, row in zip(invs, ess):
+            assert {(i[e] + 1, j[e] + 1) for e in np.flatnonzero(row)} == _corners(v)
+    assert not essential_entries(np.array([w0(12)], dtype=np.int8)).any()
+
+
+def test_essential_masks_match_leq():
+    # every pair of involutions for m <= 7: the AND over the vertex's corners
+    # decides u <= v exactly
+    for m in range(1, 8):
+        invs = enumerate_involutions(m)
+        rows = np.array(invs, dtype=np.int8)
+        masks, compared = below_masks(threshold_bits(rows), rows)
+        assert compared == sum(len(_corners(v)) for v in invs)
+        got = _unpack(masks, len(invs))
+        for k, v in enumerate(invs):
+            assert got[k].tolist() == [bruhat_leq(u, v) for u in invs], v
+
+
+@st.composite
+def involution_sample(draw):
+    """A size m in 9..12, a vertex and 40 other involutions of that size."""
+
+    def involution(m):
+        order = draw(st.permutations(range(1, m + 1)))
+        pairs = draw(st.integers(0, m // 2))
+        pi = list(range(1, m + 1))
+        for a, b in zip(order[: 2 * pairs : 2], order[1 : 2 * pairs : 2]):
+            pi[a - 1], pi[b - 1] = b, a
+        return tuple(pi)
+
+    m = draw(st.integers(9, 12))
+    return involution(m), [involution(m) for _ in range(40)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(involution_sample())
+def test_essential_masks_match_full_table(sample):
+    v, invs = sample
+    rows = np.array(invs + [identity(len(v)), v], dtype=np.int8)
+    table = dominance_table(rows)
+    full = (table >= table[:, -1:]).all(axis=0)
+    masks, _ = below_masks(threshold_bits(rows), rows[-1:])
+    assert _unpack(masks, len(rows))[0].tolist() == full.tolist()
+    assert full[-2:].all()
 
 
 def test_rank_values():

@@ -14,6 +14,7 @@ from flagorbits.perms import (
 )
 from flagorbits.bruhat import Interval, bruhat_leq, interval, rank
 from flagorbits.orbit_graph import (
+    bottom_degrees,
     conjugate_degrees,
     degree_in,
     distinct_keys,
@@ -42,6 +43,12 @@ def scalar_conjugate_degrees(pi):
         for c in w0_class(len(pi))
         if above(c)
     }
+
+
+def scalar_w0_degree(pi):
+    """Oracle for bottom_degrees: the scalar comparator on each neighbour of
+    w0."""
+    return sum(1 for u in neighbors(w0(len(pi))).neighbors if bruhat_leq(pi, u))
 
 
 def test_neighbor_examples():
@@ -87,12 +94,19 @@ def test_w0_degree():
         assert w0_degree(identity(m)) == (m // 2) ** 2
         assert w0_degree(w0(m)) == 0
     assert w0_degree(w0(5)) == 0
+    assert bottom_degrees([]) == {}
 
 
 def test_w0_degree_equals_degree_in():
     for m in (3, 4, 5):
         for pi in enumerate_involutions(m):
             assert w0_degree(pi) == degree_in(w0(m), interval(pi))
+
+
+def test_bottom_degrees_match_scalar_oracle():
+    # one call over mixed sizes, each size batched on its own
+    invs = [pi for m in range(1, 9) for pi in enumerate_involutions(m)]
+    assert bottom_degrees(invs) == {pi: scalar_w0_degree(pi) for pi in invs}
 
 
 def test_conjugate_degrees_examples():

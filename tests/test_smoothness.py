@@ -1,10 +1,13 @@
 import hashlib
+import logging
 
+import numpy as np
 import pytest
 
+from flagorbits.bruhat import essential_entries
 from flagorbits.errors import MalformedInput, TooLarge
 from flagorbits.patterns import SINGULAR, SPECS, occurrences
-from flagorbits.perms import format_perm, identity, parse_perm, w0
+from flagorbits.perms import format_perm, identity, parse_perm, w0, w0_class
 from flagorbits.smoothness import (
     NOT_APPLICABLE,
     RATIONALLY_SINGULAR,
@@ -76,6 +79,7 @@ def test_sweep_conjugates_pass_matches_classify():
         for row in sweep(m).rows:
             full = classify(row.perm)
             assert row.conjugates_pass == full.conjugates_pass
+            assert row.conjugate_witness == full.conjugate_witness
             assert row.w0_degree == full.w0_degree
             assert row.rank == full.rank
             assert row.patterns == full.patterns
@@ -98,6 +102,16 @@ def test_sweep_m8_golden_hash():
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_8_SHA256
 
 
+SWEEP_11_SHA256 = "86ddc620d1e7daa8a6cd6a51410fbdcb054c92ef66bec68e33a43f33a6036373"
+
+
+def test_sweep_m11_golden_hash():
+    # odd m: every neighbour is a class member, and most rows fail the
+    # all-conjugates test, so this pins the witness order of the kernel
+    text = "\n".join(sweep_records(sweep(11))) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_11_SHA256
+
+
 def test_sweep_phases():
     rep = sweep(6)
     assert tuple(rep.phases) == SWEEP_PHASES
@@ -110,11 +124,26 @@ def test_sweep_phases():
 def test_sweep_counters():
     rep = sweep(9)
     # one mask per w0-class member and neighbour: the 945 members of S_9
-    # (odd m: conjugation keeps the cycle type, so no neighbour leaves the class)
-    assert rep.counters == {"masks": 945, "mask_bytes": 945 * len(rep.rows)}
+    # (odd m: conjugation keeps the cycle type, so no neighbour leaves the class),
+    # each 2620 bits packed into 41 64-bit words, all held at once
+    entries = int(essential_entries(np.array(w0_class(9), dtype=np.int8)).sum())
+    assert rep.counters == {"masks": 945, "mask_bytes": 945 * 41 * 8, "mask_entries": entries}
     lines = sweep_text(rep).splitlines()
-    assert lines[-2:] == ["# counter masks 945", f"# counter mask_bytes {945 * 2620}"]
-    assert lines[-3].startswith("# phase assemble ")
+    assert lines[-3:] == [
+        "# counter masks 945",
+        f"# counter mask_bytes {945 * 328}",
+        f"# counter mask_entries {entries}",
+    ]
+    assert lines[-4].startswith("# phase assemble ")
+    # even m: the neighbours outside the class are built once each, per chunk
+    assert sweep(10).counters["masks"] == 5670
+
+
+def test_sweep_logs_progress_per_chunk(caplog):
+    with caplog.at_level(logging.INFO, logger="flagorbits.smoothness"):
+        sweep(6)
+    lines = [r.getMessage() for r in caplog.records if r.name == "flagorbits.smoothness"]
+    assert lines == ["sweep m=6: 15 of 15 class members, 60 masks"]
 
 
 def test_degree_paths_make_no_scalar_calls(monkeypatch):
@@ -125,7 +154,7 @@ def test_degree_paths_make_no_scalar_calls(monkeypatch):
     def scalar(*args):
         raise AssertionError("scalar degree path used")
 
-    for mod, name in ((og, "neighbors"), (og, "bruhat_leq"), (sm, "w0_degree")):
+    for mod, name in ((og, "neighbors"), (og, "bruhat_leq")):
         monkeypatch.setattr(mod, name, scalar)
     assert classify(parse_perm("21435")).conjugate_witness == (parse_perm("43215"), 5)
     assert classify(identity(8)).w0_degree == 16
@@ -146,7 +175,7 @@ def test_classify_guard_fires_before_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("classify started work")
 
-    for name in ("rank", "conjugate_degrees", "w0_degree", "pattern_masks"):
+    for name in ("rank", "conjugate_degrees", "pattern_masks"):
         monkeypatch.setattr(sm, name, no_work)
     with pytest.raises(TooLarge):
         classify(identity(13))
