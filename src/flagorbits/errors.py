@@ -38,4 +38,5 @@ class DegenerateFlag(FlagOrbitsError):
 
 
 class NotAnOrbitTable(FlagOrbitsError):
-    """The computed rank table does not come from an involution."""
+    """The rank profile found by orbit_of_flag's elimination of the Gram
+    matrix is not an involution."""

@@ -27,7 +27,7 @@ from .errors import (
 from .perms import Perm, format_perm, guard_size, is_involution, w0
 from .bruhat import prefix_violation
 from .orbit_graph import edges
-from .poly import Poly, Var, determinant, exact_rank
+from .poly import Poly, Var, determinant
 
 FlagMatrix = tuple[tuple[Fraction, ...], ...]
 Weight = tuple[int, ...]
@@ -287,7 +287,10 @@ def monomial_claim(pi: Perm, v: Perm, n: int) -> bool:
 
 
 def flag_matrix(rows: Sequence[Sequence[Fraction | int | str]]) -> FlagMatrix:
+    """The rows as an m x m matrix of Fractions, m >= 1; MalformedInput otherwise."""
     m = len(rows)
+    if m < 1:
+        raise MalformedInput("a flag needs m >= 1 rows")
     out = []
     for row in rows:
         vals = tuple(Fraction(x) for x in row)
@@ -325,40 +328,42 @@ def format_flag_file(flag: FlagMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def orbit_of_flag(flag: FlagMatrix) -> Perm:
+def orbit_of_flag(flag: Sequence[Sequence[Fraction | int | str]]) -> Perm:
     """Identify the orbit of the flag spanned by the row prefixes.
 
-    The rank of the form on V_i x V_j determines pi via the first column
-    where the i-th row increments the rank; the result is validated against
-    the full rank table.
+    pi is the rank profile of the Gram matrix G = F J F^T: the rank of the
+    form on V_i x V_j is #{k <= i : pi(k) <= j}.  One elimination finds it
+    (Dumas, Pernet and Sultan, J. Symbolic Comput. 83, 2017): row i's
+    leftmost nonzero column c is pi(i); column operations clear row i right
+    of c, after which the row operations that zero column c below row i
+    change nothing else.  Adding a multiple of an earlier row or column to a
+    later one keeps every leading-block rank.  G is singular exactly when the
+    rows of F are dependent, so a row without a pivot raises DegenerateFlag.
     """
+    flag = flag_matrix(flag)
     m = len(flag)
-    if exact_rank(flag) != m:
-        raise DegenerateFlag("flag rows are linearly dependent")
-    # Gram matrix of the rows under the antidiagonal form
-    gram = [
-        [sum(flag[a][k] * flag[b][m - 1 - k] for k in range(m)) for b in range(m)]
-        for a in range(m)
-    ]
-    table = [[0] * (m + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            table[i][j] = exact_rank([row[:j] for row in gram[:i]])
+    # Gram matrix of the rows under the antidiagonal form; symmetric
+    gram = [[0] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a, m):
+            gram[a][b] = gram[b][a] = sum(flag[a][k] * flag[b][m - 1 - k] for k in range(m))
     pi = []
-    for i in range(1, m + 1):
-        j = next(
-            (j for j in range(1, m + 1) if table[i][j] == table[i - 1][j] + 1), None
-        )
-        if j is None:
-            raise NotAnOrbitTable(f"row {i} never increments the rank table")
-        pi.append(j)
+    for i, row in enumerate(gram):
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            raise DegenerateFlag("flag rows are linearly dependent")
+        pi.append(c + 1)
+        hits = [r for r in gram[i + 1 :] if r[c]]
+        for j in range(c + 1, m):
+            if row[j]:
+                f = row[j] / row[c]
+                for r in hits:
+                    r[j] -= f * r[c]
+        for r in hits:
+            r[c] = 0
     result = tuple(pi)
     if not is_involution(result):
-        raise NotAnOrbitTable(f"rank table yields non-involution {result}")
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if table[i][j] != sum(1 for k in range(1, i + 1) if result[k - 1] <= j):
-                raise NotAnOrbitTable("rank table mismatch after reconstruction")
+        raise NotAnOrbitTable(f"Gram matrix rank profile is the non-involution {result}")
     return result
 
 

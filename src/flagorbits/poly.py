@@ -1,16 +1,14 @@
-"""Sparse integer-coefficient multivariate polynomials and exact linear algebra.
+"""Sparse integer-coefficient multivariate polynomials and their determinants.
 
 Variables are ordered pairs (i, j); monomials are sorted tuples of
 (variable, exponent) with positive exponents; zero coefficients are never
-stored.  Enough arithmetic for Gram-matrix minors at desk scale, plus a
-fraction-free exact rank for rational matrices.
+stored.  Enough arithmetic for Gram-matrix minors at desk scale.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Var = tuple[int, int]
 Monomial = tuple[tuple[Var, int], ...]
@@ -169,32 +167,3 @@ def _expand(
         total = total + (term if k % 2 == 0 else -term)
     memo[cs] = total
     return total
-
-
-def exact_rank(matrix: Iterable[Iterable[Fraction | int]]) -> int:
-    """Rank over the rationals via fraction-free (Bareiss-style) elimination."""
-    rows: list[list[int]] = []
-    for row in matrix:
-        frs = [Fraction(x) for x in row]
-        lcm = math.lcm(*(f.denominator for f in frs))
-        rows.append([int(f * lcm) for f in frs])
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            for c in range(col, ncols):
-                rows[r][c] = (rows[r][c] * p - f * rows[rank][c]) // prev
-        prev = p
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank

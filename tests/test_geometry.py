@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from flagorbits.cli import main
 from flagorbits.errors import (
     DegenerateFlag,
     InInterval,
@@ -14,7 +15,7 @@ from flagorbits.errors import (
 from flagorbits.perms import enumerate_involutions, identity, parse_perm, w0
 from flagorbits.bruhat import bruhat_leq, codim, rank
 from flagorbits.orbit_graph import neighbors, w0_degree
-from flagorbits.poly import Poly, determinant, exact_rank
+from flagorbits.poly import Poly, determinant
 from flagorbits.geometry import (
     attractiveness_check,
     canonical_var,
@@ -283,6 +284,95 @@ def test_slice_ideal_count_and_monomial_claim(n):
             assert monomial_claim(pi, v, n)
 
 
+def rank_oracle(rows):
+    """Rank over Q by plain Fraction row reduction."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            for c in range(col, ncols):
+                rows[r][c] -= f * rows[rank][c]
+        rank += 1
+    return rank
+
+
+def gram_oracle(flag):
+    """G = F J F^T under the antidiagonal form."""
+    m = len(flag)
+    return [
+        [sum((Fraction(a[k]) * b[m - 1 - k] for k in range(m)), Fraction(0)) for b in flag]
+        for a in flag
+    ]
+
+
+def rank_table_oracle(gram):
+    """table[i][j] = rank of the leading i x j block, one elimination each."""
+    m = len(gram)
+    return [
+        [rank_oracle([row[:j] for row in gram[:i]]) if i and j else 0 for j in range(m + 1)]
+        for i in range(m + 1)
+    ]
+
+
+def orbit_from_rank_table(table):
+    """pi(i) is the first column where row i increments the rank table."""
+    m = len(table) - 1
+    return tuple(
+        next(j for j in range(1, m + 1) if table[i][j] == table[i - 1][j] + 1)
+        for i in range(1, m + 1)
+    )
+
+
+def random_flag(rng, m, sparse):
+    """Independent rows: dense random rationals, or a scrambled permutation
+    matrix with a few extra entries (so that small orbits occur)."""
+    while True:
+        if sparse:
+            cols = rng.sample(range(m), m)
+            rows = [[Fraction(0)] * m for _ in range(m)]
+            for i, c in enumerate(cols):
+                rows[i][c] = Fraction(rng.randint(1, 5))
+            for _ in range(rng.randint(0, m)):
+                extra = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                rows[rng.randrange(m)][rng.randrange(m)] = extra
+        else:
+            rows = [
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(m)]
+                for _ in range(m)
+            ]
+        if rank_oracle(rows) == m:
+            return flag_matrix(rows)
+
+
+def test_orbit_of_flag_matches_rank_table_oracle():
+    rng = random.Random(2017)
+    seen = set()
+    for m in range(1, 11):
+        flags = [random_flag(rng, m, sparse) for sparse in (False, False, True, True, True)]
+        if m % 2 == 0:
+            variables = slice_vars(m // 2)
+            for _ in range(3):
+                chosen = rng.sample(variables, max(1, len(variables) // 4))
+                vals = {v: Fraction(rng.randint(1, 9), rng.randint(1, 5)) for v in chosen}
+                flags.append(specialize_basis(m // 2, vals))
+        for flag in flags:
+            table = rank_table_oracle(gram_oracle(flag))
+            pi = orbit_of_flag(flag)
+            assert pi == orbit_from_rank_table(table)
+            for i in range(1, m + 1):
+                for j in range(1, m + 1):
+                    assert table[i][j] == sum(1 for k in range(i) if pi[k] <= j)
+            seen.add(pi)
+    # the sparse flags reach orbits other than the open one at every size m > 1
+    assert all(any(len(pi) == m and pi != identity(m) for pi in seen) for m in range(2, 11))
+
+
 def test_orbit_of_flag_identity_flags():
     for m in range(2, 9):
         ident = flag_matrix(
@@ -340,6 +430,40 @@ def test_orbit_of_flag_degenerate():
         orbit_of_flag(flag_matrix([[1, 0], [1, 0]]))
 
 
+def dependent_flags(rng, m):
+    """A flag with a zero row, and one whose last row is a rational
+    combination of the m - 1 independent rows above it."""
+    rows = [list(row) for row in random_flag(rng, m, sparse=False)]
+    zero_row = rows[:2] + [[Fraction(0)] * m] + rows[3:]
+    coeffs = [Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(m - 1)]
+    last = [sum((c * row[k] for c, row in zip(coeffs, rows)), Fraction(0)) for k in range(m)]
+    combo = rows[:-1] + [last]
+    # rows 1..m-1 of G are independent, so every pivot but the last is found
+    assert rank_oracle(gram_oracle(combo)[:-1]) == m - 1
+    return flag_matrix(zero_row), flag_matrix(combo)
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_orbit_of_flag_degenerate_past_2x2(m, tmp_path, capsys):
+    zero_row, combo = dependent_flags(random.Random(m), m)
+    for flag in (zero_row, combo):
+        with pytest.raises(DegenerateFlag):
+            orbit_of_flag(flag)
+    path = tmp_path / "flag.txt"
+    path.write_text(format_flag_file(combo))
+    assert main(["orbit-of-flag", str(path)]) == 65
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "flagorbits: malformed input: flag rows are linearly dependent\n"
+
+
+def test_orbit_of_flag_rejects_malformed_shapes():
+    with pytest.raises(MalformedInput):
+        orbit_of_flag(((1, 0, 0), (0, 1, 0)))  # 2 x 3
+    with pytest.raises(MalformedInput):
+        orbit_of_flag(())
+
+
 def test_flag_file_round_trip():
     flag = flag_matrix([[Fraction(1, 2), 0], [3, Fraction(-2, 5)]])
     text = format_flag_file(flag)
@@ -348,33 +472,6 @@ def test_flag_file_round_trip():
         parse_flag_file("2\n1 0\n")
     with pytest.raises(MalformedInput):
         parse_flag_file("2\n1 0\nx y\n")
-
-
-def test_exact_rank_against_fraction_elimination():
-    def rank_oracle(rows):
-        rows = [list(map(Fraction, r)) for r in rows]
-        rank = 0
-        ncols = len(rows[0]) if rows else 0
-        for col in range(ncols):
-            piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            for r in range(rank + 1, len(rows)):
-                f = rows[r][col] / rows[rank][col]
-                for c in range(col, ncols):
-                    rows[r][c] -= f * rows[rank][c]
-            rank += 1
-        return rank
-
-    rng = random.Random(4)
-    for _ in range(50):
-        m = rng.randint(1, 5)
-        rows = [
-            [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(m)]
-            for _ in range(m)
-        ]
-        assert exact_rank(rows) == rank_oracle(rows)
 
 
 def test_polynomial_determinant_against_numeric():

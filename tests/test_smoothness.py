@@ -210,7 +210,7 @@ def test_report_text_mentions_witness():
 def test_sweep_text_deterministic():
     text = sweep_text(sweep(4))
     assert text.splitlines()[:4] == sweep_text(sweep(4)).splitlines()[:4]
-    assert "1 rationally singular: 2143" in text
+    assert "1 rationally singular" in text.splitlines()
 
 
 def test_odd_sweep_reports_conjugate_failures():
