@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import SizeMismatch
-from .perms import Perm, enumerate_involutions, guard_size
+from .perms import Perm, enumerate_involutions, guard_size, validate_involution
 
 # Bytes of comparison indicators a table build holds at once.
 TABLE_CHUNK_BYTES = 1 << 16
@@ -193,6 +193,7 @@ def interval(pi: Perm) -> Interval:
     """I_pi: all involutions v with pi <= v, by filtering the enumeration."""
     m = len(pi)
     guard_size(m, "interval")
+    pi = validate_involution(pi)
     invs = enumerate_involutions(m)
     mask = above(pi, np.array(invs, dtype=np.int8))
     members = frozenset(v for v, keep in zip(invs, mask.tolist()) if keep)

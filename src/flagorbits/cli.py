@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .errors import DegenerateFlag, MalformedInput, NotAnOrbitTable, TooLarge
-from .perms import format_perm, guard_size, is_involution, parse_perm
+from .perms import format_perm, guard_size, parse_perm, validate_involution
 from .bruhat import interval, rank
 from .orbit_graph import export_dot
 from .geometry import (
@@ -52,10 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _involution_arg(text: str):
-    pi = parse_perm(text)
-    if not is_involution(pi):
-        raise MalformedInput(f"{text!r} is not an involution")
-    return pi
+    return validate_involution(parse_perm(text))
 
 
 def _format_weight(weight) -> str:

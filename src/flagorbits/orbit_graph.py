@@ -5,30 +5,25 @@ transposition t, or (only when m is even) nu = t mu for some t commuting
 with mu.  Degrees are counted over distinct vertices, not transpositions:
 t and its mirror can produce the same conjugate.
 
-`edges` applies the edge rule to one involution; `edge_rows` applies it to
-an array of one-line rows at once, and `conjugate_degrees` counts degrees
-from those rows with the vectorized comparison of `bruhat.above`.
+`edge_rows` holds the edge rule, for an array of one-line rows at once;
+`edges` reads it for one involution, and `neighbors`, `degree_in` and
+`export_dot` read `edges`.  `class_rows` builds the w0-class once per size.
+The degrees compare with `bruhat.above`, one involution pi against many
+rows: `conjugate_degrees` at the class members above pi, `w0_degree` at the
+neighbours of w0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cache
+from typing import Iterator
 
 import numpy as np
 
 from .errors import NotInInterval, TooLarge
-from .perms import (
-    Perm,
-    Transposition,
-    all_transpositions,
-    conjugate,
-    format_perm,
-    left_multiply,
-    w0,
-    w0_class,
-)
-from .bruhat import Interval, above, below_masks, threshold_bits
+from .perms import Perm, Transposition, all_transpositions, format_perm, w0, w0_class
+from .bruhat import Interval, above
 from .bruhat import bruhat_leq  # noqa: F401  (bench/tracer.py patches it here)
 
 DOT_VERTEX_GUARD = 5000
@@ -46,15 +41,14 @@ def edges(mu: Perm) -> Iterator[tuple[Transposition, Perm]]:
     """The edges at mu as (t, nu), one per transposition t, in transposition order.
 
     nu = t mu t when that differs from mu, else t mu when m is even; for odd m
-    a transposition commuting with mu gives no edge.  Never nu = mu.
+    a transposition commuting with mu gives no edge.  Never nu = mu.  The
+    rule is `edge_rows` on the single row mu.
     """
     m = len(mu)
-    for t in all_transpositions(m):
-        nu = conjugate(mu, t)
+    rows = edge_rows(np.array(mu, dtype=np.int8).reshape(1, m))[0].tolist()
+    for t, nu in zip(all_transpositions(m), map(tuple, rows)):
         if nu != mu:
             yield t, nu
-        elif m % 2 == 0:
-            yield t, left_multiply(t, mu)
 
 
 def neighbors(mu: Perm) -> NeighborSet:
@@ -122,6 +116,15 @@ def distinct_keys(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
+@cache
+def class_rows(m: int) -> np.ndarray:
+    """The w0-class of S_m as one read-only (C, m) int8 array, in the
+    lexicographic order of `w0_class`; built once per size."""
+    rows = np.array(w0_class(m), dtype=np.int8).reshape(-1, m)
+    rows.flags.writeable = False
+    return rows
+
+
 def conjugate_degrees(pi: Perm) -> dict[Perm, int]:
     """Degree in I_pi of every w0-conjugate lying in I_pi, in lexicographic
     order of the conjugates.
@@ -131,42 +134,28 @@ def conjugate_degrees(pi: Perm) -> dict[Perm, int]:
     and counted as distinct vertices by their keys.
     """
     m = len(pi)
-    cls = w0_class(m)
-    rows = np.array(cls, dtype=np.int8)
+    rows = class_rows(m)
     hit = np.flatnonzero(above(pi, rows))
     step = max(1, EDGE_CHUNK_ROWS // max(1, m * (m - 1) // 2))
     out: dict[Perm, int] = {}
     for s in range(0, len(hit), step):
-        part = hit[s : s + step]
-        nbr, keys = edge_keys(rows[part])
+        part = rows[hit[s : s + step]]
+        nbr, keys = edge_keys(part)
         # compare each distinct neighbour of the chunk once
         _, first, back = np.unique(keys, return_index=True, return_inverse=True)
         ok = above(pi, nbr.reshape(-1, m)[first])[back]
         keys[~ok.reshape(keys.shape)] = -1
         degs = (distinct_keys(keys) >= 0).sum(axis=1)
-        out.update(zip(map(cls.__getitem__, part.tolist()), degs.tolist()))
-    return out
-
-
-def bottom_degrees(perms: Iterable[Perm]) -> dict[Perm, int]:
-    """Degree of the bottom vertex w0 in I_pi for each involution pi: the
-    number of neighbours of w0 above pi, by `bruhat.below_masks`, one batch
-    per size."""
-    groups: dict[int, list[Perm]] = {}
-    for pi in perms:
-        groups.setdefault(len(pi), []).append(pi)
-    out: dict[Perm, int] = {}
-    for m, group in groups.items():
-        top = np.array(sorted(neighbors(w0(m)).neighbors), dtype=np.int8).reshape(-1, m)
-        masks, _ = below_masks(threshold_bits(np.array(group, dtype=np.int8)), top)
-        degs = np.unpackbits(masks.view(np.uint8), axis=1, count=len(group)).sum(axis=0)
-        out.update(zip(group, degs.tolist()))
+        out.update(zip(map(tuple, part.tolist()), degs.tolist()))
     return out
 
 
 def w0_degree(pi: Perm) -> int:
-    """Degree of the bottom vertex w0 in I_pi; `bottom_degrees` of one."""
-    return bottom_degrees([pi])[pi]
+    """Degree of the bottom vertex w0 in I_pi: the number of distinct
+    neighbours of w0 above pi, by `above`."""
+    m = len(pi)
+    top = np.array(list(neighbors(w0(m)).neighbors), dtype=np.int8).reshape(-1, m)
+    return int(above(pi, top).sum())
 
 
 def export_dot(iv: Interval) -> str:

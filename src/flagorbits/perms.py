@@ -34,6 +34,14 @@ def validate_perm(entries: Iterable[int]) -> Perm:
     return p
 
 
+def validate_involution(entries: Iterable[int]) -> Perm:
+    """`validate_perm`, then check that the permutation is an involution."""
+    p = validate_perm(entries)
+    if not is_involution(p):
+        raise MalformedInput(f"not an involution: {format_perm(p)}")
+    return p
+
+
 def parse_perm(text: str) -> Perm:
     """Parse one-line notation.
 
@@ -89,7 +97,8 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 
 def is_involution(p: Perm) -> bool:
-    return all(p[v - 1] == i for i, v in enumerate(p, start=1))
+    """p(p(i)) = i for every i; False for entries outside 1..m."""
+    return all(0 < v <= len(p) and p[v - 1] == i for i, v in enumerate(p, start=1))
 
 
 def transposition(a: int, b: int, m: int) -> Perm:
@@ -110,12 +119,6 @@ def conjugate(mu: Perm, t: Transposition) -> Perm:
     lst = list(mu)
     lst[a - 1], lst[b - 1] = lst[b - 1], lst[a - 1]
     return tuple(b if v == a else a if v == b else v for v in lst)
-
-
-def left_multiply(t: Transposition, mu: Perm) -> Perm:
-    """compose(t, mu): swap the values a and b in mu."""
-    a, b = t
-    return tuple(b if v == a else a if v == b else v for v in mu)
 
 
 def fixed_points(pi: Perm) -> tuple[int, ...]:

@@ -70,9 +70,6 @@ class Poly:
                 out[m] = out.get(m, 0) + c1 * c2
         return Poly(out)
 
-    def scale(self, c: int) -> "Poly":
-        return Poly({m: c * k for m, k in self.terms.items()})
-
     def monomials(self) -> list[Monomial]:
         """Graded-lexicographic order, largest first."""
         return sorted(self.terms, key=_grlex_key, reverse=True)
@@ -126,7 +123,9 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
 
 def _grlex_key(m: Monomial):
     total = sum(e for _, e in m)
-    # negated exponents so lexicographically earlier variables dominate
+    # (total degree, the (variable, exponent) pairs); monomials() sorts in
+    # reverse, so higher total degree comes first and, within one degree,
+    # lexicographically later monomials come first
     return (total, tuple((v, e) for v, e in m))
 
 

@@ -23,11 +23,18 @@ from .perms import (
     guard_size,
     insert_fixed_point,
     parse_perm,
+    validate_involution,
     w0,
-    w0_class,
 )
 from .bruhat import below_masks, max_rank, rank, threshold_bits
-from .orbit_graph import bottom_degrees, conjugate_degrees, distinct_keys, edge_keys, row_keys
+from .orbit_graph import (
+    class_rows,
+    conjugate_degrees,
+    distinct_keys,
+    edge_keys,
+    row_keys,
+    w0_degree,
+)
 from .patterns import (
     EVEN_FIXED_BETWEEN,
     PATTERN_2143,
@@ -132,6 +139,7 @@ def classify(pi: Perm) -> ClassificationReport:
     """Full report for a single involution."""
     m = len(pi)
     guard_size(m, "classify")
+    pi = validate_involution(pi)
     r = rank(pi)
     cd = conjugate_degrees(pi)  # lexicographic; w0 lies above every pi
     witness = next(((c, d) for c, d in cd.items() if d != r), None)
@@ -160,15 +168,14 @@ def sweep(m: int) -> SweepReport:
     ranks[: len(invs)] = [rank(p) for p in invs]
     stamps.append(time.perf_counter())
 
-    cls = w0_class(m)
-    cls_rows = np.array(cls, dtype=np.int8)
-    own = row_keys(cls_rows)  # ascending, as w0_class is lexicographic
+    cls_rows = class_rows(m)
+    own = row_keys(cls_rows)  # ascending, as the class rows are lexicographic
     cls_masks, compared = below_masks(bits, cls_rows)
-    built, held = len(cls), cls_masks.nbytes
+    built, held = len(cls_rows), cls_masks.nbytes
     step = max(1, CLASS_CHUNK_BYTES // (max(1, m * (m - 1) // 2) * cls_masks[:1].nbytes))
     conj_ok = np.full(bits.shape[2], ~np.uint64(0))  # packed like the masks
     witnesses: dict[int, tuple[Perm, int]] = {}
-    for s in range(0, len(cls), step):
+    for s in range(0, len(cls_rows), step):
         nbr, keys = edge_keys(cls_rows[s : s + step])
         # Neighbours outside the class are built for this chunk only: each
         # has exactly one class neighbour, so each is built once.
@@ -180,7 +187,7 @@ def sweep(m: int) -> SweepReport:
         keys = distinct_keys(keys)
         at_cls = np.searchsorted(own, keys).clip(max=len(own) - 1)
         is_cls, at_new = own[at_cls] == keys, np.searchsorted(found[outside], keys)
-        for k, c in enumerate(cls[s : s + step]):
+        for k, c in enumerate(map(tuple, cls_rows[s : s + step].tolist())):
             words = np.flatnonzero(cls_masks[s + k])  # those holding some involution <= c
             nbr_masks = np.concatenate(
                 (cls_masks[at_cls[k][is_cls[k]]], new[at_new[k][~is_cls[k] & (keys[k] >= 0)]])
@@ -193,7 +200,7 @@ def sweep(m: int) -> SweepReport:
             conj_ok[words] &= ~viol
             at = words[fresh // 64] * 64 + fresh % 64
             witnesses.update(zip(at.tolist(), [(c, d) for d in deg_c[fresh].tolist()]))
-        log.info("sweep m=%d: %d of %d class members, %d masks", m, s + k + 1, len(cls), built)
+        log.info("sweep m=%d: %d of %d class members, %d masks", m, s + k + 1, len(cls_rows), built)
     deg_w0 = deg_c  # w0, the last member, lies above every row: its words are all words
     stamps.append(time.perf_counter())
     pattern_bits = pattern_masks(invs)
@@ -279,12 +286,10 @@ def verify_known_cases() -> CaseChecklist:
         for p in grown + list(exceptions)
         for pos in range(1, len(p) + 2)
     ]
-    degree = bottom_degrees(patterns + list(exceptions) + [s for _, _, s in inserts])
-
     # (a) every bad pattern has bottom-degree excess, except the two where a
     # conjugate carries the excess instead.
     for p in patterns:
-        r, deg = rank(p), degree[p]
+        r, deg = rank(p), w0_degree(p)
         label = format_perm(p)
         if p in DEGREE_EXCEPTION_PATTERNS:
             excess = _conjugate_excess(conjugate_degrees(p), r)
@@ -298,7 +303,7 @@ def verify_known_cases() -> CaseChecklist:
 
     # (b) the four insertion exceptions: bottom degree matches, conjugate excess.
     for p in exceptions:
-        r, deg = rank(p), degree[p]
+        r, deg = rank(p), w0_degree(p)
         excess = _conjugate_excess(conjugate_degrees(p), r)
         ok = deg == r and bool(excess)
         wit = (f"deg={deg} r={r}",) + tuple(
@@ -318,7 +323,7 @@ def verify_known_cases() -> CaseChecklist:
         bad = tuple(
             f"{format_perm(p)}+fix@{pos}={format_perm(s)}"
             for p, pos, s in group
-            if degree[s] <= rank(s)
+            if w0_degree(s) <= rank(s)
         )
         results.append(CaseResult("c", label, not bad, bad or note))
 

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagorbits.errors import SizeMismatch, TooLarge
+from flagorbits.errors import MalformedInput, SizeMismatch, TooLarge
 from flagorbits.perms import (
     all_transpositions,
     enumerate_involutions,
     identity,
     involution_count,
-    left_multiply,
     w0,
 )
 from flagorbits.bruhat import (
@@ -33,6 +32,12 @@ def dominance(p):
     0-based row-major."""
     m = len(p)
     return tuple(sum(1 for k in range(i + 1) if p[k] <= j + 1) for i in range(m) for j in range(m))
+
+
+def left_multiply(t, p):
+    """t p for the transposition t = (a, b): swap the values a and b in p."""
+    a, b = t
+    return tuple(b if v == a else a if v == b else v for v in p)
 
 
 def _inversions(p):
@@ -248,6 +253,12 @@ def test_interval_guard_fires_before_work(monkeypatch):
         interval(w0(13))
     with pytest.raises(AssertionError):
         interval(w0(12))  # the guard admits m = 12
+
+
+def test_interval_rejects_non_involutions():
+    for bad in ((2, 3, 1), (1, 1)):
+        with pytest.raises(MalformedInput):
+            interval(bad)
 
 
 def test_interval_invariants_small():

@@ -5,16 +5,18 @@ from hypothesis import given, settings, strategies as st
 from flagorbits.errors import NotInInterval, TooLarge
 from flagorbits.perms import (
     all_transpositions,
+    compose,
     conjugate,
     enumerate_involutions,
     identity,
     parse_perm,
+    transposition,
     w0,
     w0_class,
 )
 from flagorbits.bruhat import Interval, bruhat_leq, interval, rank
 from flagorbits.orbit_graph import (
-    bottom_degrees,
+    class_rows,
     conjugate_degrees,
     degree_in,
     distinct_keys,
@@ -26,11 +28,27 @@ from flagorbits.orbit_graph import (
     row_keys,
     w0_degree,
 )
+from flagorbits.smoothness import classify
+
+
+def oracle_edge(mu, t):
+    """The neighbour of mu along t = (a, b) from the definition, or None:
+    t mu t when that differs from mu, else the product t mu for even m."""
+    nu = conjugate(mu, t)
+    if nu != mu:
+        return nu
+    return compose(transposition(*t, len(mu)), mu) if len(mu) % 2 == 0 else None
+
+
+def oracle_neighbors(mu):
+    """Oracle for neighbors: oracle_edge along every transposition."""
+    nbrs = {oracle_edge(mu, t) for t in all_transpositions(len(mu))}
+    return nbrs - {None}
 
 
 def scalar_conjugate_degrees(pi):
     """Oracle for conjugate_degrees: the scalar comparator on every class
-    member and on each of its distinct neighbours."""
+    member and on each of its distinct oracle neighbours."""
     leq = {}
 
     def above(v):
@@ -39,16 +57,16 @@ def scalar_conjugate_degrees(pi):
         return leq[v]
 
     return {
-        c: sum(1 for u in neighbors(c).neighbors if above(u))
+        c: sum(1 for u in oracle_neighbors(c) if above(u))
         for c in w0_class(len(pi))
         if above(c)
     }
 
 
 def scalar_w0_degree(pi):
-    """Oracle for bottom_degrees: the scalar comparator on each neighbour of
-    w0."""
-    return sum(1 for u in neighbors(w0(len(pi))).neighbors if bruhat_leq(pi, u))
+    """Oracle for w0_degree: the scalar comparator on each oracle neighbour
+    of w0."""
+    return sum(1 for u in oracle_neighbors(w0(len(pi))) if bruhat_leq(pi, u))
 
 
 def test_neighbor_examples():
@@ -94,7 +112,6 @@ def test_w0_degree():
         assert w0_degree(identity(m)) == (m // 2) ** 2
         assert w0_degree(w0(m)) == 0
     assert w0_degree(w0(5)) == 0
-    assert bottom_degrees([]) == {}
 
 
 def test_w0_degree_equals_degree_in():
@@ -103,10 +120,10 @@ def test_w0_degree_equals_degree_in():
             assert w0_degree(pi) == degree_in(w0(m), interval(pi))
 
 
-def test_bottom_degrees_match_scalar_oracle():
-    # one call over mixed sizes, each size batched on its own
-    invs = [pi for m in range(1, 9) for pi in enumerate_involutions(m)]
-    assert bottom_degrees(invs) == {pi: scalar_w0_degree(pi) for pi in invs}
+def test_w0_degree_matches_scalar_oracle():
+    for m in range(1, 9):
+        for pi in enumerate_involutions(m):
+            assert w0_degree(pi) == scalar_w0_degree(pi), pi
 
 
 def test_conjugate_degrees_examples():
@@ -194,9 +211,9 @@ def key(p):
 
 
 def test_edge_rows_follow_edges():
-    # the bulk rule gives edges' neighbour along every transposition, and the
-    # member itself where there is no edge (odd m); the keys keep each
-    # distinct neighbour once
+    # the bulk rule gives the oracle's neighbour along every transposition,
+    # and the member itself where there is no edge (odd m); edges and
+    # neighbors read it, and the keys keep each distinct neighbour once
     for m in range(1, 10):
         cls = w0_class(m)
         rows = np.array(cls, dtype=np.int8)
@@ -204,10 +221,29 @@ def test_edge_rows_follow_edges():
         keys = distinct_keys(edge_keys(rows)[1])
         ts = all_transpositions(m)
         for k, c in enumerate(cls):
-            along = dict(edges(c))
-            assert [tuple(r) for r in bulk[k].tolist()] == [along.get(t, c) for t in ts]
+            along = [(t, oracle_edge(c, t)) for t in ts]
+            assert [tuple(r) for r in bulk[k].tolist()] == [nu or c for _, nu in along]
+            assert list(edges(c)) == [(t, nu) for t, nu in along if nu]
+            assert neighbors(c).neighbors == oracle_neighbors(c)
             got = sorted(keys[k][keys[k] >= 0].tolist())
-            assert got == sorted(map(key, neighbors(c).neighbors))
+            assert got == sorted(map(key, oracle_neighbors(c)))
+
+
+def test_class_rows_built_once(monkeypatch):
+    import flagorbits.orbit_graph as og
+
+    pi = parse_perm("2,1,4,3,6,5,8,7,10,9")
+    want = classify(pi)  # warm-up builds the m=10 class rows
+    rows = class_rows(10)
+    assert not rows.flags.writeable
+    assert rows.tolist() == [list(c) for c in w0_class(10)]
+
+    def rebuilt(m):
+        raise AssertionError("w0_class enumerated again")
+
+    monkeypatch.setattr(og, "w0_class", rebuilt)
+    assert classify(pi) == want
+    assert class_rows(10) is rows
 
 
 def test_row_keys_sort_lexicographically():

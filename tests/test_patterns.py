@@ -7,7 +7,6 @@ from flagorbits.perms import (
     fixed_points,
     insert_fixed_point,
     is_involution,
-    left_multiply,
     parse_perm,
 )
 from flagorbits.patterns import (
@@ -77,6 +76,12 @@ def test_masks_match_occurrences_exhaustively():
     for m in range(0, 9):
         invs = enumerate_involutions(m)
         assert pattern_masks(invs) == [_oracle_mask(pi) for pi in invs], m
+
+
+def left_multiply(t, p):
+    """t p for the transposition t = (a, b): swap the values a and b in p."""
+    a, b = t
+    return tuple(b if v == a else a if v == b else v for v in p)
 
 
 @st.composite

@@ -19,6 +19,7 @@ from flagorbits.perms import (
     parse_perm,
     transposition,
     two_cycles,
+    validate_involution,
     validate_perm,
     w0,
     w0_class,
@@ -164,3 +165,11 @@ def test_w0_class():
 def test_validate_perm_rejects_non_bijection():
     with pytest.raises(MalformedInput):
         validate_perm([1, 1, 3])
+
+
+def test_validate_involution():
+    assert validate_involution([2, 1, 3]) == (2, 1, 3)
+    assert not is_involution((5,))  # an entry outside 1..m, not an IndexError
+    for bad in ((5,), (1, 1), (3, 1, 2, 4), (2, 3, 1)):
+        with pytest.raises(MalformedInput):
+            validate_involution(bad)

@@ -183,6 +183,12 @@ def test_classify_guard_fires_before_work(monkeypatch):
         classify(identity(12))  # the guard admits m = 12
 
 
+def test_classify_rejects_non_involutions():
+    for bad in ((1, 1), (3, 1, 2, 4), (5,)):
+        with pytest.raises(MalformedInput):
+            classify(bad)
+
+
 def test_verify_known_cases_all_pass():
     checklist = verify_known_cases()
     failures = [r for r in checklist.results if not r.passed]
