@@ -6,11 +6,10 @@ with mu.  Degrees are counted over distinct vertices, not transpositions:
 t and its mirror can produce the same conjugate.
 
 `edge_rows` holds the edge rule, for an array of one-line rows at once;
-`edges` reads it for one involution, and `neighbors`, `degree_in` and
-`export_dot` read `edges`.  `class_rows` builds the w0-class once per size.
-The degrees compare with `bruhat.above`, one involution pi against many
-rows: `conjugate_degrees` at the class members above pi, `w0_degree` at the
-neighbours of w0.
+`edges` reads it for one involution, for `neighbors` and `degree_in`, and
+`export_dot` runs it once per interval.  `class_graph` builds the graph at
+the w0-class once per size; the degree kernel reads its neighbours there,
+and `conjugate_degrees` and `w0_degree` compare them with `bruhat.above`.
 """
 
 from __future__ import annotations
@@ -22,12 +21,13 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NotInInterval, TooLarge
-from .perms import Perm, Transposition, all_transpositions, format_perm, w0, w0_class
+from .perms import Perm, Transposition, all_transpositions, format_perm, guard_size
+from .perms import validate_involution, w0_class
 from .bruhat import Interval, above
 from .bruhat import bruhat_leq  # noqa: F401  (bench/tracer.py patches it here)
 
 DOT_VERTEX_GUARD = 5000
-# Neighbour rows conjugate_degrees holds at once.
+# Neighbour rows class_graph holds at once.
 EDGE_CHUNK_ROWS = 4096
 
 
@@ -117,45 +117,58 @@ def distinct_keys(keys: np.ndarray) -> np.ndarray:
 
 
 @cache
-def class_rows(m: int) -> np.ndarray:
-    """The w0-class of S_m as one read-only (C, m) int8 array, in the
-    lexicographic order of `w0_class`; built once per size."""
+def class_graph(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The graph at the w0-class of S_m, built once per size, as read-only
+    arrays: rows (C, m) int8, the class in `w0_class` order; inner (C, D)
+    int16, the distinct class neighbours of rows[k] as ascending indices into
+    rows; outer (C, H, m) int8, its distinct neighbours outside the class.
+
+    The graph is regular, D = m(m-2)/4 and H = m/2 for even m, D = (m^2-1)/4
+    and H = 0 for odd m, and the arrays are reshaped on that assumption.
+    """
+    guard_size(m, "class graph")
     rows = np.array(w0_class(m), dtype=np.int8).reshape(-1, m)
-    rows.flags.writeable = False
-    return rows
+    own = row_keys(rows)  # ascending, as the rows are lexicographic
+    step = max(1, EDGE_CHUNK_ROWS // max(1, m * (m - 1) // 2))
+    inner, outer = [], []
+    for s in range(0, len(rows), step):
+        found = distinct_keys(edge_keys(rows[s : s + step])[1])
+        at = np.searchsorted(own, found).clip(max=len(own) - 1)
+        cls = own[at] == found
+        inner.append(at[cls].reshape(len(found), -1).astype(np.int16))
+        out = found[~cls & (found >= 0)].reshape(len(found), -1, 1)
+        digits = out // (m + 1) ** np.arange(m - 1, -1, -1) % (m + 1)  # a key's digits: its row
+        outer.append(digits.astype(np.int8))
+    graph = rows, np.concatenate(inner), np.concatenate(outer)
+    for a in graph:
+        a.flags.writeable = False
+    return graph
 
 
 def conjugate_degrees(pi: Perm) -> dict[Perm, int]:
     """Degree in I_pi of every w0-conjugate lying in I_pi, in lexicographic
     order of the conjugates.
 
-    The class members above pi are found with `above`; then the neighbour
-    rows of those members, EDGE_CHUNK_ROWS at a time, are compared against pi
-    and counted as distinct vertices by their keys.
+    `above` marks the class members above pi; a member's degree counts its
+    `class_graph` neighbours among them, plus its outside neighbours above pi.
     """
+    pi = validate_involution(pi)
     m = len(pi)
-    rows = class_rows(m)
-    hit = np.flatnonzero(above(pi, rows))
-    step = max(1, EDGE_CHUNK_ROWS // max(1, m * (m - 1) // 2))
-    out: dict[Perm, int] = {}
-    for s in range(0, len(hit), step):
-        part = rows[hit[s : s + step]]
-        nbr, keys = edge_keys(part)
-        # compare each distinct neighbour of the chunk once
-        _, first, back = np.unique(keys, return_index=True, return_inverse=True)
-        ok = above(pi, nbr.reshape(-1, m)[first])[back]
-        keys[~ok.reshape(keys.shape)] = -1
-        degs = (distinct_keys(keys) >= 0).sum(axis=1)
-        out.update(zip(map(tuple, part.tolist()), degs.tolist()))
-    return out
+    rows, inner, outer = class_graph(m)
+    ok = above(pi, rows)
+    hit = np.flatnonzero(ok)
+    degs = ok[inner[hit]].sum(axis=1)
+    degs += above(pi, outer[hit].reshape(-1, m)).reshape(len(hit), -1).sum(axis=1)
+    return dict(zip(map(tuple, rows[hit].tolist()), degs.tolist()))
 
 
 def w0_degree(pi: Perm) -> int:
     """Degree of the bottom vertex w0 in I_pi: the number of distinct
-    neighbours of w0 above pi, by `above`."""
-    m = len(pi)
-    top = np.array(list(neighbors(w0(m)).neighbors), dtype=np.int8).reshape(-1, m)
-    return int(above(pi, top).sum())
+    neighbours of w0 above pi, by `above`.  w0 is the last `class_graph`
+    member, so m > SIZE_GUARD raises TooLarge."""
+    pi = validate_involution(pi)
+    rows, inner, outer = class_graph(len(pi))
+    return int(above(pi, np.concatenate((rows[inner[-1]], outer[-1]))).sum())
 
 
 def export_dot(iv: Interval) -> str:
@@ -163,14 +176,14 @@ def export_dot(iv: Interval) -> str:
     if len(iv) > DOT_VERTEX_GUARD:
         raise TooLarge(f"interval has {len(iv)} vertices, guard is {DOT_VERTEX_GUARD}")
     nodes = iv.sorted_members()
-    edges: set[tuple[Perm, Perm]] = set()
-    for v in nodes:
-        for u in neighbors(v).neighbors & iv.members:
-            edges.add((min(u, v), max(u, v)))
-    lines = ["graph interval {"]
-    for v in nodes:
-        lines.append(f'  "{format_perm(v)}";')
-    for u, v in sorted(edges):
-        lines.append(f'  "{format_perm(u)}" -- "{format_perm(v)}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    rows = np.array(nodes, dtype=np.int8).reshape(len(nodes), -1)
+    own = row_keys(rows)  # ascending, as the nodes are sorted
+    keys = edge_keys(rows)[1]
+    at = np.searchsorted(own, keys).clip(max=len(own) - 1)
+    u, t = np.nonzero(own[at] == keys)
+    v = at[u, t]
+    pairs = np.unique(np.minimum(u, v) * len(nodes) + np.maximum(u, v))  # each edge once
+    names = list(map(format_perm, nodes))
+    lines = ["graph interval {"] + [f'  "{name}";' for name in names]
+    lines += [f'  "{names[p // len(nodes)]}" -- "{names[p % len(nodes)]}";' for p in pairs.tolist()]
+    return "\n".join(lines + ["}"]) + "\n"

@@ -27,14 +27,7 @@ from .perms import (
     w0,
 )
 from .bruhat import below_masks, max_rank, rank, threshold_bits
-from .orbit_graph import (
-    class_rows,
-    conjugate_degrees,
-    distinct_keys,
-    edge_keys,
-    row_keys,
-    w0_degree,
-)
+from .orbit_graph import class_graph, conjugate_degrees, w0_degree
 from .patterns import (
     EVEN_FIXED_BETWEEN,
     PATTERN_2143,
@@ -149,10 +142,10 @@ def classify(pi: Perm) -> ClassificationReport:
 def sweep(m: int) -> SweepReport:
     """Classify every involution of S_m; deterministic lexicographic rows.
 
-    Degree data comes from one bit-packed <=-mask per w0-class member and
-    neighbour (`bruhat.below_masks`).  The class masks are kept; the masks
-    of the neighbours outside the class are built per chunk of members and
-    dropped after it.  Pattern containment comes from one orbit-deletion
+    Degree data comes from one bit-packed <=-mask per vertex of the
+    `class_graph` (`bruhat.below_masks`).  The class masks are kept; the
+    masks of its `outer` rows are built per chunk of members and dropped
+    after it.  Pattern containment comes from one orbit-deletion
     pass over all sizes up to m.
     """
     if m < 1:
@@ -168,30 +161,22 @@ def sweep(m: int) -> SweepReport:
     ranks[: len(invs)] = [rank(p) for p in invs]
     stamps.append(time.perf_counter())
 
-    cls_rows = class_rows(m)
-    own = row_keys(cls_rows)  # ascending, as the class rows are lexicographic
+    cls_rows, inner, outer = class_graph(m)
     cls_masks, compared = below_masks(bits, cls_rows)
     built, held = len(cls_rows), cls_masks.nbytes
     step = max(1, CLASS_CHUNK_BYTES // (max(1, m * (m - 1) // 2) * cls_masks[:1].nbytes))
     conj_ok = np.full(bits.shape[2], ~np.uint64(0))  # packed like the masks
     witnesses: dict[int, tuple[Perm, int]] = {}
+    h = outer.shape[1]
     for s in range(0, len(cls_rows), step):
-        nbr, keys = edge_keys(cls_rows[s : s + step])
         # Neighbours outside the class are built for this chunk only: each
         # has exactly one class neighbour, so each is built once.
-        found, first = np.unique(keys, return_index=True)
-        outside = (own[np.searchsorted(own, found).clip(max=len(own) - 1)] != found) & (found >= 0)
-        new, n = below_masks(bits, nbr.reshape(-1, m)[first[outside]])
+        new, n = below_masks(bits, outer[s : s + step].reshape(-1, m))
         built, compared = built + len(new), compared + n
         held = max(held, cls_masks.nbytes + new.nbytes)
-        keys = distinct_keys(keys)
-        at_cls = np.searchsorted(own, keys).clip(max=len(own) - 1)
-        is_cls, at_new = own[at_cls] == keys, np.searchsorted(found[outside], keys)
         for k, c in enumerate(map(tuple, cls_rows[s : s + step].tolist())):
             words = np.flatnonzero(cls_masks[s + k])  # those holding some involution <= c
-            nbr_masks = np.concatenate(
-                (cls_masks[at_cls[k][is_cls[k]]], new[at_new[k][~is_cls[k] & (keys[k] >= 0)]])
-            )
+            nbr_masks = np.concatenate((cls_masks[inner[s + k]], new[k * h : (k + 1) * h]))
             nbr_masks = np.take(nbr_masks, words, axis=1).view(np.uint8)
             deg_c = np.unpackbits(nbr_masks, axis=1).sum(axis=0, dtype=np.uint8)
             viol = np.packbits(deg_c != ranks.reshape(-1, 64)[words].ravel()).view(np.uint64)

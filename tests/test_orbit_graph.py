@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagorbits.errors import NotInInterval, TooLarge
+from flagorbits.errors import MalformedInput, NotInInterval, TooLarge
 from flagorbits.perms import (
     all_transpositions,
     compose,
     conjugate,
     enumerate_involutions,
+    format_perm,
     identity,
     parse_perm,
     transposition,
@@ -16,7 +17,7 @@ from flagorbits.perms import (
 )
 from flagorbits.bruhat import Interval, bruhat_leq, interval, rank
 from flagorbits.orbit_graph import (
-    class_rows,
+    class_graph,
     conjugate_degrees,
     degree_in,
     distinct_keys,
@@ -229,21 +230,83 @@ def test_edge_rows_follow_edges():
             assert got == sorted(map(key, oracle_neighbors(c)))
 
 
-def test_class_rows_built_once(monkeypatch):
+def test_class_graph_matches_oracle():
+    # every member's class neighbours and outside neighbours are its oracle
+    # neighbours, each once, and the outside ones lie outside the class
+    for m in range(1, 10):
+        rows, inner, outer = class_graph(m)
+        cls = w0_class(m)
+        assert rows.tolist() == [list(c) for c in cls]
+        assert inner.dtype == np.int16 and outer.dtype == np.int8
+        for k, c in enumerate(cls):
+            assert len(set(inner[k].tolist())) == inner.shape[1]
+            got = [cls[i] for i in inner[k].tolist()] + [tuple(u) for u in outer[k].tolist()]
+            assert len(got) == len(set(got)) and set(got) == oracle_neighbors(c)
+            assert not set(map(tuple, outer[k].tolist())) & set(cls)
+
+
+def test_class_graph_is_regular():
+    for m in range(1, 13):
+        rows, inner, outer = class_graph(m)
+        d, h = (m * (m - 2) // 4, m // 2) if m % 2 == 0 else ((m * m - 1) // 4, 0)
+        assert inner.shape == (len(rows), d)
+        assert outer.shape == (len(rows), h, m)
+
+
+def test_class_graph_built_once(monkeypatch):
     import flagorbits.orbit_graph as og
 
     pi = parse_perm("2,1,4,3,6,5,8,7,10,9")
-    want = classify(pi)  # warm-up builds the m=10 class rows
-    rows = class_rows(10)
-    assert not rows.flags.writeable
-    assert rows.tolist() == [list(c) for c in w0_class(10)]
+    want = classify(pi), w0_degree(pi)  # warm-up builds the m=10 class graph
+    graph = class_graph(10)
+    assert all(not a.flags.writeable for a in graph)
 
-    def rebuilt(m):
-        raise AssertionError("w0_class enumerated again")
+    def rebuilt(*args):
+        raise AssertionError("class edges built again")
 
     monkeypatch.setattr(og, "w0_class", rebuilt)
-    assert classify(pi) == want
-    assert class_rows(10) is rows
+    monkeypatch.setattr(og, "edge_rows", rebuilt)
+    assert (classify(pi), w0_degree(pi)) == want
+    assert all(a is b for a, b in zip(class_graph(10), graph))
+
+
+def test_degree_functions_check_input():
+    for bad in ((1, 1), (2, 3, 1), (3, 1, 2, 4)):
+        with pytest.raises(MalformedInput):
+            w0_degree(bad)
+        with pytest.raises(MalformedInput):
+            conjugate_degrees(bad)
+
+
+def test_class_graph_guard_fires_before_work(monkeypatch):
+    import flagorbits.orbit_graph as og
+
+    def enumerated(m):
+        raise AssertionError("w0_class ran past the guard")
+
+    monkeypatch.setattr(og, "w0_class", enumerated)
+    for m in (13, 16):
+        for call in (w0_degree, conjugate_degrees):
+            with pytest.raises(TooLarge):
+                call(identity(m))
+        with pytest.raises(TooLarge):
+            class_graph(m)
+
+
+def oracle_dot(iv):
+    """Oracle for export_dot: the DOT text from oracle_neighbors."""
+    nodes = sorted(iv.members)
+    pairs = {tuple(sorted((u, v))) for v in nodes for u in oracle_neighbors(v) & iv.members}
+    lines = ["graph interval {"] + [f'  "{format_perm(v)}";' for v in nodes]
+    lines += [f'  "{format_perm(u)}" -- "{format_perm(v)}";' for u, v in sorted(pairs)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_export_dot_matches_oracle():
+    for m in range(1, 7):
+        for pi in enumerate_involutions(m):
+            iv = interval(pi)
+            assert export_dot(iv) == oracle_dot(iv), pi
 
 
 def test_row_keys_sort_lexicographically():
