@@ -184,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (MalformedInput, DegenerateFlag, NotAnOrbitTable) as exc:
+    except (MalformedInput, DegenerateFlag, NotAnOrbitTable, UnicodeDecodeError) as exc:
         print(f"flagorbits: malformed input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except TooLarge as exc:

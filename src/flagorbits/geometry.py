@@ -24,7 +24,7 @@ from .errors import (
     NotANeighbor,
     NotAnOrbitTable,
 )
-from .perms import Perm, format_perm, guard_size, is_involution, w0
+from .perms import Perm, format_perm, guard_size, is_involution, validate_involution, w0
 from .bruhat import prefix_violation
 from .orbit_graph import edges
 from .poly import Poly, Var, determinant
@@ -243,20 +243,23 @@ def _minor_i(v: Perm, hit: tuple[int, int], n: int) -> Poly:
 
 def minor_condition_ii(pi: Perm, c: Perm, n: int) -> Poly:
     """Minor on the first i rows and columns c_1..c_i at the first prefix
-    failure of pi <= c; its vanishing cuts the slice along c's direction."""
+    failure of pi <= c; its vanishing cuts the slice along c's direction.
+    pi is taken unchecked, as `slice_ideal` accepts it."""
     i, _ = _require_excluded_neighbor(pi, c, n)
     return determinant(slice_gram(n), range(1, i + 1), sorted(c[:i]))
 
 
 def minor_condition_i(pi: Perm, v: Perm, n: int) -> Poly:
     """The j x j minor on rows r_1..r_j (positions of the j smallest prefix
-    values of v) and columns v'_1..v'_j, at the first prefix failure."""
+    values of v) and columns v'_1..v'_j, at the first prefix failure.
+    pi is taken unchecked, as `slice_ideal` accepts it."""
     return _minor_i(v, _require_excluded_neighbor(pi, v, n), n)
 
 
 def slice_ideal(pi: Perm, n: int) -> list[tuple[Perm, Poly]]:
     """Defining minors of the slice, one per excluded bottom-vertex neighbor,
-    in lexicographic neighbor order."""
+    in lexicographic neighbor order; MalformedInput unless pi is an involution of S_2n."""
+    pi = validate_involution(pi)
     m = 2 * n
     if len(pi) != m:
         raise MalformedInput(f"{format_perm(pi)} has size {len(pi)}, expected {m}")
@@ -270,7 +273,7 @@ def slice_ideal(pi: Perm, n: int) -> list[tuple[Perm, Poly]]:
 
 def monomial_claim(pi: Perm, v: Perm, n: int) -> bool:
     """Exactly one monomial of the column-set minor is a first or second
-    power of the variable attached to v."""
+    power of the variable attached to v; pi is taken unchecked, as `slice_ideal` accepts it."""
     poly = minor_condition_ii(pi, v, n)
     x = neighbor_variable(v, n)
     count = sum(

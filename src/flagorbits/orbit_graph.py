@@ -100,12 +100,11 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def edge_keys(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`edge_rows` and their (K, T) keys, with -1 where t gives no edge."""
-    nbr = edge_rows(rows)
-    keys = row_keys(nbr)
+def edge_keys(rows: np.ndarray) -> np.ndarray:
+    """The (K, T) keys of `edge_rows`, with -1 where t gives no edge."""
+    keys = row_keys(edge_rows(rows))
     keys[keys == row_keys(rows)[:, None]] = -1
-    return nbr, keys
+    return keys
 
 
 def distinct_keys(keys: np.ndarray) -> np.ndarray:
@@ -132,7 +131,7 @@ def class_graph(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     step = max(1, EDGE_CHUNK_ROWS // max(1, m * (m - 1) // 2))
     inner, outer = [], []
     for s in range(0, len(rows), step):
-        found = distinct_keys(edge_keys(rows[s : s + step])[1])
+        found = distinct_keys(edge_keys(rows[s : s + step]))
         at = np.searchsorted(own, found).clip(max=len(own) - 1)
         cls = own[at] == found
         inner.append(at[cls].reshape(len(found), -1).astype(np.int16))
@@ -178,7 +177,7 @@ def export_dot(iv: Interval) -> str:
     nodes = iv.sorted_members()
     rows = np.array(nodes, dtype=np.int8).reshape(len(nodes), -1)
     own = row_keys(rows)  # ascending, as the nodes are sorted
-    keys = edge_keys(rows)[1]
+    keys = edge_keys(rows)
     at = np.searchsorted(own, keys).clip(max=len(own) - 1)
     u, t = np.nonzero(own[at] == keys)
     v = at[u, t]

@@ -63,9 +63,6 @@ class ClassificationReport:
     degree_verdict: str
     conjugates_pass: bool
     conjugate_witness: tuple[Perm, int] | None
-    # Full degree map of every w0-conjugate in the interval; omitted (None)
-    # in bulk sweeps where materializing it per row is prohibitive.
-    conjugate_degrees: dict[Perm, int] | None
     pattern_singular: bool
     # The singularity-forcing specs pi contains, in SPECS order.
     patterns: tuple[PatternSpec, ...]
@@ -96,12 +93,7 @@ class SweepReport:
 
 
 def _report(
-    pi: Perm,
-    r: int,
-    deg: int,
-    witness: tuple[Perm, int] | None,
-    mask: int,
-    cd: dict[Perm, int] | None = None,
+    pi: Perm, r: int, deg: int, witness: tuple[Perm, int] | None, mask: int
 ) -> ClassificationReport:
     """One report row from the rank, w0 degree, first failing conjugate and
     containment mask; every derived field is computed here."""
@@ -120,7 +112,6 @@ def _report(
         degree_verdict=verdict,
         conjugates_pass=witness is None,
         conjugate_witness=witness,
-        conjugate_degrees=cd,
         pattern_singular=bool(specs),
         patterns=specs,
         conjectured_rationally_smooth=not specs,
@@ -129,14 +120,15 @@ def _report(
 
 
 def classify(pi: Perm) -> ClassificationReport:
-    """Full report for a single involution."""
+    """Full report for a single involution; the same value as its `sweep` row.
+    The degree of every w0-conjugate is `conjugate_degrees(pi)`."""
     m = len(pi)
     guard_size(m, "classify")
     pi = validate_involution(pi)
     r = rank(pi)
     cd = conjugate_degrees(pi)  # lexicographic; w0 lies above every pi
     witness = next(((c, d) for c, d in cd.items() if d != r), None)
-    return _report(pi, r, cd[w0(m)], witness, pattern_masks([pi])[0], cd)
+    return _report(pi, r, cd[w0(m)], witness, pattern_masks([pi])[0])
 
 
 def sweep(m: int) -> SweepReport:
@@ -233,8 +225,6 @@ DEGREE_EXCEPTION_INSERTIONS = (
     parse_perm("4231576"),
 )
 
-INSERTION_SIZE_CAP = 10
-
 
 @dataclass(frozen=True)
 class CaseResult:
@@ -265,10 +255,9 @@ def verify_known_cases() -> CaseChecklist:
     results: list[CaseResult] = []
     patterns = [spec.pattern for spec in bad_patterns()]
     exceptions = DEGREE_EXCEPTION_INSERTIONS
-    grown = [p for p in patterns if p != PATTERN_2143 and len(p) < INSERTION_SIZE_CAP]
     inserts = [
         (p, pos, insert_fixed_point(p, pos))
-        for p in grown + list(exceptions)
+        for p in patterns + list(exceptions)
         for pos in range(1, len(p) + 2)
     ]
     # (a) every bad pattern has bottom-degree excess, except the two where a
@@ -296,7 +285,7 @@ def verify_known_cases() -> CaseChecklist:
         )
         results.append(CaseResult("b", f"{format_perm(p)} conjugate excess", ok, wit))
 
-    # (c) single-fixed-point insertions into bad patterns other than 2143 keep
+    # (c) single-fixed-point insertions into the 24 bad patterns keep
     # bottom-degree excess, apart from the four insertions handled in (b); one
     # more fixed point on top of those four restores it.
     kept = [x for x in inserts if x[0] not in exceptions and x[2] not in exceptions]
@@ -333,7 +322,7 @@ def verify_known_cases() -> CaseChecklist:
     # fails, and the parity-qualified 2143 containment flags it.
     rep = classify(parse_perm("21435"))
     r, deg = rep.rank, rep.w0_degree
-    excess = _conjugate_excess(rep.conjugate_degrees, r)
+    excess = _conjugate_excess(conjugate_degrees(rep.perm), r)
     has_43215 = any(c == parse_perm("43215") for c, _ in excess)
     ok = deg == r == 4 and has_43215 and rep.pattern_singular
     results.append(
@@ -407,8 +396,7 @@ def sweep_text(report: SweepReport) -> str:
     the per-involution verdicts are in `sweep_records`."""
     lines = [f"m={report.m} involutions={len(report.rows)}"]
     if report.m % 2 == 0:
-        singular = sum(r.degree_verdict == RATIONALLY_SINGULAR for r in report.rows)
-        lines.append(f"{singular} rationally singular")
+        lines.append(f"{report.counts[RATIONALLY_SINGULAR]} rationally singular")
         lines.append(
             "pattern-singular-degree-smooth="
             + (

@@ -188,6 +188,15 @@ def test_orbit_of_flag_malformed(tmp_path, capsys):
     assert "malformed" in err
 
 
+def test_orbit_of_flag_not_utf8(tmp_path, capsys):
+    path = tmp_path / "flag.txt"
+    path.write_bytes(b"2\n1 0\n0 \xff\n")
+    code, out, err = run(capsys, "orbit-of-flag", str(path))
+    assert code == 65 and out == ""
+    assert err.startswith("flagorbits: malformed input: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_orbit_of_flag_degenerate(tmp_path, capsys):
     path = tmp_path / "flag.txt"
     path.write_text("2\n1 2\n2 4\n")

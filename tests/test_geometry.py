@@ -178,6 +178,13 @@ def test_slice_ideal_examples():
     assert got[(3, 4, 1, 2)] in (Poly.var((3, 4)), Poly.var((3, 4), -1))
 
 
+def test_slice_ideal_rejects_non_involutions():
+    # not a permutation, and a 3-cycle: neither indexes an orbit
+    for bad in ((1, 1, 1, 1), (2, 3, 1, 4)):
+        with pytest.raises(MalformedInput):
+            slice_ideal(bad, 2)
+
+
 def test_slice_ideal_builds_shared_data_once(monkeypatch):
     import flagorbits.geometry as geo
 

@@ -6,8 +6,9 @@ import pytest
 
 from flagorbits.bruhat import essential_entries
 from flagorbits.errors import MalformedInput, TooLarge
+from flagorbits.orbit_graph import conjugate_degrees
 from flagorbits.patterns import SINGULAR, SPECS, occurrences
-from flagorbits.perms import format_perm, identity, parse_perm, w0, w0_class
+from flagorbits.perms import enumerate_involutions, format_perm, identity, parse_perm, w0, w0_class
 from flagorbits.smoothness import (
     NOT_APPLICABLE,
     RATIONALLY_SINGULAR,
@@ -37,7 +38,7 @@ def test_classify_2143():
     assert rep.degree_verdict == RATIONALLY_SINGULAR
     assert not rep.conjugates_pass
     assert rep.conjugate_witness == ((4, 3, 2, 1), 3)
-    assert rep.conjugate_degrees == {
+    assert conjugate_degrees(rep.perm) == {
         (4, 3, 2, 1): 3,
         (3, 4, 1, 2): 2,
         (2, 1, 4, 3): 2,
@@ -74,17 +75,14 @@ def test_sweep_m4():
 
 
 def test_sweep_conjugates_pass_matches_classify():
-    # also: the sweep's one-pass pattern masks agree with classify's scans
-    for m in (5, 6):
-        for row in sweep(m).rows:
-            full = classify(row.perm)
-            assert row.conjugates_pass == full.conjugates_pass
-            assert row.conjugate_witness == full.conjugate_witness
-            assert row.w0_degree == full.w0_degree
-            assert row.rank == full.rank
-            assert row.patterns == full.patterns
-            assert row.conjectured_smooth == full.conjectured_smooth
-            assert row.certificates == full.certificates
+    # a sweep row is the classify report of its involution, field for field;
+    # at m <= 3 w0's all-ones mask and the zero-padded ranks decide the rows
+    for m in range(1, 9):
+        rows = sweep(m).rows
+        full = [classify(p) for p in enumerate_involutions(m)]
+        assert rows == full
+        if m in (5, 6):
+            assert [r.certificates for r in rows] == [f.certificates for f in full]
 
 
 def test_sweep_smooth_implies_conjugates_pass():
