@@ -13,7 +13,6 @@ from .errors import (
     InInterval,
     MalformedInput,
     NotANeighbor,
-    NotAnOrbitTable,
     NotInInterval,
     PositionOutOfRange,
     SizeMismatch,

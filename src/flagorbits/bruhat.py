@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import SizeMismatch
-from .perms import Perm, enumerate_involutions, guard_size, validate_involution
+from .perms import Perm, guard_size, involution_rows, validate_involution
 
 # Bytes of comparison indicators a table build holds at once.
 TABLE_CHUNK_BYTES = 1 << 16
@@ -155,7 +155,8 @@ def max_rank(m: int) -> int:
 
 
 def rank(pi: Perm) -> int:
-    """Grading of the involution pi: distance above the closed orbit."""
+    """Grading of the involution pi: distance above the closed orbit.  pi is
+    unchecked, as `sweep` calls this once per row; `classify` validates it."""
     m = len(pi)
     drop = 0
     for i in range(1, m + 1):
@@ -167,8 +168,9 @@ def rank(pi: Perm) -> int:
 
 
 def codim(pi: Perm) -> int:
-    """Codimension of the orbit of pi: floor(m^2/4) - rank(pi)."""
-    return max_rank(len(pi)) - rank(pi)
+    """Codimension of the orbit of pi: floor(m^2/4) - rank(pi).  A
+    non-involution raises MalformedInput."""
+    return max_rank(len(pi)) - rank(validate_involution(pi))
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,6 @@ def interval(pi: Perm) -> Interval:
     m = len(pi)
     guard_size(m, "interval")
     pi = validate_involution(pi)
-    invs = enumerate_involutions(m)
-    mask = above(pi, np.array(invs, dtype=np.int8))
-    members = frozenset(v for v, keep in zip(invs, mask.tolist()) if keep)
+    rows = involution_rows(m)
+    members = frozenset(tuple(row.tolist()) for row in rows[above(pi, rows)])
     return Interval(base=pi, m=m, members=members)

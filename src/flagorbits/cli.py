@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DegenerateFlag, MalformedInput, NotAnOrbitTable, TooLarge
+from .errors import DegenerateFlag, MalformedInput, TooLarge
 from .perms import format_perm, guard_size, parse_perm, validate_involution
 from .bruhat import interval, rank
 from .orbit_graph import export_dot
@@ -184,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (MalformedInput, DegenerateFlag, NotAnOrbitTable, UnicodeDecodeError) as exc:
+    except (MalformedInput, DegenerateFlag, UnicodeDecodeError) as exc:
         print(f"flagorbits: malformed input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except TooLarge as exc:

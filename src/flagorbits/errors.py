@@ -35,8 +35,3 @@ class InInterval(FlagOrbitsError):
 
 class DegenerateFlag(FlagOrbitsError):
     """The rows of the flag matrix are linearly dependent."""
-
-
-class NotAnOrbitTable(FlagOrbitsError):
-    """The rank profile found by orbit_of_flag's elimination of the Gram
-    matrix is not an involution."""

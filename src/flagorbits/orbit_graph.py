@@ -6,10 +6,10 @@ with mu.  Degrees are counted over distinct vertices, not transpositions:
 t and its mirror can produce the same conjugate.
 
 `edge_rows` holds the edge rule, for an array of one-line rows at once;
-`edges` reads it for one involution, for `neighbors` and `degree_in`, and
-`export_dot` runs it once per interval.  `class_graph` builds the graph at
-the w0-class once per size; the degree kernel reads its neighbours there,
-and `conjugate_degrees` and `w0_degree` compare them with `bruhat.above`.
+`edges` reads it for one involution, for `neighbors`, `degree_in` and
+`w0_degree`, and `export_dot` runs it once per interval.  `class_graph`
+builds the graph at the w0-class once per size for `conjugate_degrees` and
+`sweep`.  `conjugate_degrees` and `w0_degree` compare with `bruhat.above`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NotInInterval, TooLarge
 from .perms import Perm, Transposition, all_transpositions, format_perm, guard_size
-from .perms import validate_involution, w0_class
+from .perms import validate_involution, w0, w0_class
 from .bruhat import Interval, above
 from .bruhat import bruhat_leq  # noqa: F401  (bench/tracer.py patches it here)
 
@@ -52,7 +52,8 @@ def edges(mu: Perm) -> Iterator[tuple[Transposition, Perm]]:
 
 
 def neighbors(mu: Perm) -> NeighborSet:
-    """All distinct vertices adjacent to mu."""
+    """All distinct vertices adjacent to mu; a non-involution raises MalformedInput."""
+    mu = validate_involution(mu)
     return NeighborSet(center=mu, neighbors=frozenset(nu for _, nu in edges(mu)))
 
 
@@ -161,13 +162,20 @@ def conjugate_degrees(pi: Perm) -> dict[Perm, int]:
     return dict(zip(map(tuple, rows[hit].tolist()), degs.tolist()))
 
 
+@cache
+def _w0_neighbors(m: int) -> np.ndarray:
+    """The distinct neighbours of w0(m), sorted, as a read-only (N, m) int8 array."""
+    rows = np.array(sorted(neighbors(w0(m)).neighbors), dtype=np.int8).reshape(-1, m)
+    rows.flags.writeable = False
+    return rows
+
+
 def w0_degree(pi: Perm) -> int:
     """Degree of the bottom vertex w0 in I_pi: the number of distinct
-    neighbours of w0 above pi, by `above`.  w0 is the last `class_graph`
-    member, so m > SIZE_GUARD raises TooLarge."""
+    neighbours of w0 above pi, by `above`.  m > SIZE_GUARD raises TooLarge."""
+    guard_size(len(pi), "w0 degree")
     pi = validate_involution(pi)
-    rows, inner, outer = class_graph(len(pi))
-    return int(above(pi, np.concatenate((rows[inner[-1]], outer[-1]))).sum())
+    return int(above(pi, _w0_neighbors(len(pi))).sum())
 
 
 def export_dot(iv: Interval) -> str:

@@ -1,13 +1,15 @@
 """Permutations and involutions in 1-based one-line notation.
 
 A permutation of {1..m} is stored as a tuple of its values, so ``p[i-1]``
-is the image of position ``i``.  All operations are pure; tuples are never
-mutated.
+is the image of position ``i``; `involution_rows` holds many as the rows of
+an int8 array.  All operations are pure; tuples are never mutated.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
+
+import numpy as np
 
 from .errors import MalformedInput, PositionOutOfRange, SizeMismatch, TooLarge
 
@@ -178,53 +180,44 @@ def involution_count(m: int) -> int:
     return b
 
 
-def _involutions(m: int, fixes: int) -> list[Perm]:
-    """Involutions of S_m with at most `fixes` fixed points, in lexicographic
-    one-line order."""
+def involution_rows(m: int) -> np.ndarray:
+    """All involutions of S_m as an (I(m), m) int8 array, one per row, in
+    lexicographic one-line order.
+
+    Built by the recurrence of `involution_count`: the rows with pi(1) = 1 are
+    S_{m-1} shifted up by one, and for j = 2..m the rows with pi(1) = j and
+    pi(j) = 1 carry S_{m-2} on the other positions and values.  Relabelling
+    keeps order, so each block is lexicographic and the blocks come in order
+    of pi(1).  Each level reads only the two before it.
+    """
     if m < 0:
         raise MalformedInput(f"involutions need m >= 0, got {m}")
-    out: list[Perm] = []
-    _fill([0] * m, 0, fixes, out)
-    return out
-
-
-def _fill(entry: list[int], pos: int, fixes_left: int, out: list[Perm]) -> None:
-    # Fix the first free position (budget allowing), then pair it with each
-    # later free position in turn.  A module-level function: a recursive
-    # closure would hold out in a reference cycle past the call.
-    m = len(entry)
-    while pos < m and entry[pos]:
-        pos += 1
-    if pos == m:
-        out.append(tuple(entry))
-        return
-    i = pos + 1
-    if fixes_left:
-        entry[pos] = i
-        _fill(entry, pos + 1, fixes_left - 1, out)
-        entry[pos] = 0
-    for j in range(i + 1, m + 1):
-        if entry[j - 1] == 0:
-            entry[pos] = j
-            entry[j - 1] = i
-            _fill(entry, pos + 1, fixes_left, out)
-            entry[pos] = entry[j - 1] = 0
+    older = old = np.zeros((1, 0), dtype=np.int8)  # S_0; older is unread at k = 1
+    for k in range(1, m + 1):
+        blocks = [np.insert(old + 1, 0, 1, axis=1)]
+        for j in range(2, k + 1):
+            rest = np.insert(older + 1 + (older >= j - 1), j - 2, 1, axis=1)
+            blocks.append(np.insert(rest, 0, j, axis=1))
+        older, old = old, np.concatenate(blocks)
+    return old
 
 
 def enumerate_involutions(m: int) -> list[Perm]:
     """All involutions of S_m in lexicographic one-line order."""
-    return _involutions(m, m)
+    return [tuple(row.tolist()) for row in involution_rows(m)]
 
 
 def w0_class(m: int) -> list[Perm]:
     """Involutions with the cycle type of w0: floor(m/2) two-cycles.
 
-    Lexicographic order on one-line notation.  The number of fixed points has
-    the parity of m, so a budget of m % 2 leaves exactly m % 2 of them.
+    Lexicographic order on one-line notation: the rows of `involution_rows`
+    with exactly m % 2 fixed points.
     """
     if m < 1:
         raise MalformedInput(f"w0_class needs m >= 1, got {m}")
-    return _involutions(m, m % 2)
+    rows = involution_rows(m)
+    fixed = (rows == np.arange(1, m + 1)).sum(axis=1, dtype=np.int8)
+    return [tuple(row.tolist()) for row in rows[fixed == m % 2]]
 
 
 def all_transpositions(m: int) -> list[Transposition]:

@@ -18,15 +18,15 @@ import numpy as np
 from .errors import MalformedInput
 from .perms import (
     Perm,
-    enumerate_involutions,
     format_perm,
     guard_size,
     insert_fixed_point,
+    involution_rows,
     parse_perm,
     validate_involution,
     w0,
 )
-from .bruhat import below_masks, max_rank, rank, threshold_bits
+from .bruhat import MASK_CHUNK_BYTES, below_masks, max_rank, rank, threshold_bits
 from .orbit_graph import class_graph, conjugate_degrees, w0_degree
 from .patterns import (
     EVEN_FIXED_BETWEEN,
@@ -41,10 +41,6 @@ from .patterns import (
 )
 
 log = logging.getLogger(__name__)
-
-# Bytes of neighbour masks one chunk of class members may build, counting
-# m(m-1)/2 neighbours per member.
-CLASS_CHUNK_BYTES = 1 << 25
 
 SWEEP_PHASES = ("enumerate", "dominance+rank", "degree-masks", "patterns", "assemble")
 
@@ -145,8 +141,8 @@ def sweep(m: int) -> SweepReport:
     guard_size(m, "sweep")
 
     stamps = [time.perf_counter()]
-    invs = enumerate_involutions(m)
-    inv_rows = np.array(invs, dtype=np.int8)
+    inv_rows = involution_rows(m)
+    invs = [tuple(row.tolist()) for row in inv_rows]
     stamps.append(time.perf_counter())
     bits = threshold_bits(inv_rows)
     ranks = np.zeros(64 * bits.shape[2], dtype=np.int32)  # one per mask bit
@@ -156,10 +152,11 @@ def sweep(m: int) -> SweepReport:
     cls_rows, inner, outer = class_graph(m)
     cls_masks, compared = below_masks(bits, cls_rows)
     built, held = len(cls_rows), cls_masks.nbytes
-    step = max(1, CLASS_CHUNK_BYTES // (max(1, m * (m - 1) // 2) * cls_masks[:1].nbytes))
+    h = outer.shape[1]
+    # A chunk's outer masks, h per member, stay within MASK_CHUNK_BYTES.
+    step = max(1, MASK_CHUNK_BYTES // (max(1, h) * cls_masks[:1].nbytes))
     conj_ok = np.full(bits.shape[2], ~np.uint64(0))  # packed like the masks
     witnesses: dict[int, tuple[Perm, int]] = {}
-    h = outer.shape[1]
     for s in range(0, len(cls_rows), step):
         # Neighbours outside the class are built for this chunk only: each
         # has exactly one class neighbour, so each is built once.

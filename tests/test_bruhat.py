@@ -228,6 +228,9 @@ def test_codim():
     assert codim(w0(6)) == 9
     assert codim(identity(5)) == 0
     assert codim((3, 4, 1, 2)) == 3
+    for bad in ((3, 1, 2), (1, 1)):
+        with pytest.raises(MalformedInput):
+            codim(bad)
 
 
 def test_interval_examples():
@@ -248,7 +251,7 @@ def test_interval_guard_fires_before_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("interval started work")
 
-    monkeypatch.setattr(br, "enumerate_involutions", no_work)
+    monkeypatch.setattr(br, "involution_rows", no_work)
     with pytest.raises(TooLarge):
         interval(w0(13))
     with pytest.raises(AssertionError):

@@ -211,18 +211,3 @@ def test_orbit_of_flag_size_zero(tmp_path, capsys):
     code, out, err = run(capsys, "orbit-of-flag", str(path))
     assert code == 65 and out == ""
     assert err == "flagorbits: malformed input: a flag needs m >= 1 rows\n"
-
-
-def test_orbit_of_flag_not_an_orbit_table(tmp_path, monkeypatch, capsys):
-    import flagorbits.cli as cli
-    from flagorbits.errors import NotAnOrbitTable
-
-    def bad_table(flag):
-        raise NotAnOrbitTable("Gram matrix rank profile is the non-involution (2, 3, 1)")
-
-    monkeypatch.setattr(cli, "orbit_of_flag", bad_table)
-    path = tmp_path / "flag.txt"
-    path.write_text(format_flag_file(specialize_basis(2, {})))
-    code, _, err = run(capsys, "orbit-of-flag", str(path))
-    assert code == 65
-    assert err.count("\n") == 1 and "non-involution" in err

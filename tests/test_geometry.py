@@ -12,7 +12,7 @@ from flagorbits.errors import (
     NotANeighbor,
     TooLarge,
 )
-from flagorbits.perms import enumerate_involutions, identity, parse_perm, w0
+from flagorbits.perms import enumerate_involutions, identity, is_involution, parse_perm, w0
 from flagorbits.bruhat import bruhat_leq, codim, rank
 from flagorbits.orbit_graph import neighbors, w0_degree
 from flagorbits.poly import Poly, determinant
@@ -372,6 +372,7 @@ def test_orbit_of_flag_matches_rank_table_oracle():
             table = rank_table_oracle(gram_oracle(flag))
             pi = orbit_of_flag(flag)
             assert pi == orbit_from_rank_table(table)
+            assert is_involution(pi)  # G is symmetric
             for i in range(1, m + 1):
                 for j in range(1, m + 1):
                     assert table[i][j] == sum(1 for k in range(i) if pi[k] <= j)

@@ -272,10 +272,24 @@ def test_class_graph_built_once(monkeypatch):
 
 def test_degree_functions_check_input():
     for bad in ((1, 1), (2, 3, 1), (3, 1, 2, 4)):
-        with pytest.raises(MalformedInput):
-            w0_degree(bad)
-        with pytest.raises(MalformedInput):
-            conjugate_degrees(bad)
+        for call in (w0_degree, conjugate_degrees, neighbors):
+            with pytest.raises(MalformedInput):
+                call(bad)
+
+
+def test_w0_degree_reads_w0_alone(monkeypatch):
+    import flagorbits.orbit_graph as og
+
+    class_graph.cache_clear()
+    assert w0_degree(identity(12)) == rank(identity(12))
+    assert class_graph.cache_info().currsize == 0
+
+    def no_work(*args):
+        raise AssertionError("w0's neighbours built past the guard")
+
+    monkeypatch.setattr(og, "edge_rows", no_work)
+    with pytest.raises(TooLarge):
+        w0_degree(identity(13))
 
 
 def test_class_graph_guard_fires_before_work(monkeypatch):

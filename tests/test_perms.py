@@ -1,8 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from flagorbits.errors import MalformedInput, PositionOutOfRange, SizeMismatch
+from flagorbits.orbit_graph import row_keys
 from flagorbits.perms import (
     all_transpositions,
     compose,
@@ -15,6 +17,7 @@ from flagorbits.perms import (
     insert_fixed_point,
     inverse,
     involution_count,
+    involution_rows,
     is_involution,
     parse_perm,
     transposition,
@@ -136,6 +139,15 @@ def test_enumeration_counts_and_order():
         assert invs == sorted(invs)
         assert len(set(invs)) == len(invs)
         assert all(is_involution(p) for p in invs)
+
+
+def test_involution_rows_count_order_and_cycle_type():
+    for m in range(0, 13):
+        rows = involution_rows(m)
+        assert rows.dtype == np.int8 and rows.shape == (involution_count(m), m)
+        positions = np.arange(1, m + 1)
+        assert (np.take_along_axis(rows, rows.astype(np.intp) - 1, axis=1) == positions).all()
+        assert (np.diff(row_keys(rows)) > 0).all()  # strictly lexicographic
 
 
 def test_enumeration_matches_brute_force():
