@@ -284,13 +284,19 @@ def monomial_claim(pi: Perm, v: Perm, n: int) -> bool:
 
 
 def flag_matrix(rows: Sequence[Sequence[Fraction | int | str]]) -> FlagMatrix:
-    """The rows as an m x m matrix of Fractions, m >= 1; MalformedInput otherwise."""
+    """The rows as an m x m matrix of Fractions, m >= 1; MalformedInput otherwise.
+    Text entries take no exponent: Fraction("1e20000000") alone takes tens of seconds."""
     m = len(rows)
     if m < 1:
         raise MalformedInput("a flag needs m >= 1 rows")
     out = []
     for row in rows:
-        vals = tuple(Fraction(x) for x in row)
+        try:
+            if any("e" in x.lower() for x in row if isinstance(x, str)):
+                raise ValueError
+            vals = tuple(Fraction(x) for x in row)
+        except (ValueError, ZeroDivisionError):
+            raise MalformedInput(f"bad rational in row: {' '.join(map(str, row))!r}") from None
         if len(vals) != m:
             raise MalformedInput(f"expected {m} entries per row, got {len(vals)}")
         out.append(vals)
@@ -308,14 +314,7 @@ def parse_flag_file(text: str) -> FlagMatrix:
         raise MalformedInput(f"bad size line: {lines[0]!r}") from None
     if len(lines) != m + 1:
         raise MalformedInput(f"expected {m} rows, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        try:
-            rows.append([Fraction(p) for p in parts])
-        except (ValueError, ZeroDivisionError):
-            raise MalformedInput(f"bad rational in row: {ln!r}") from None
-    return flag_matrix(rows)
+    return flag_matrix([ln.split() for ln in lines[1:]])
 
 
 def format_flag_file(flag: FlagMatrix) -> str:

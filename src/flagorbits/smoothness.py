@@ -58,12 +58,17 @@ class ClassificationReport:
     w0_degree: int
     degree_verdict: str
     conjugates_pass: bool
-    conjugate_witness: tuple[Perm, int] | None
     pattern_singular: bool
     # The singularity-forcing specs pi contains, in SPECS order.
     patterns: tuple[PatternSpec, ...]
     conjectured_rationally_smooth: bool
     conjectured_smooth: bool
+
+    @cached_property
+    def conjugate_witness(self) -> tuple[Perm, int] | None:
+        """The first w0-conjugate (lexicographic) and its degree != rank, found on first access."""
+        cd = conjugate_degrees(self.perm)
+        return next(((c, d) for c, d in cd.items() if d != self.rank), None)
 
     @cached_property
     def certificates(self) -> list[tuple[PatternSpec, PatternHit]]:
@@ -88,10 +93,8 @@ class SweepReport:
     counters: dict[str, int]
 
 
-def _report(
-    pi: Perm, r: int, deg: int, witness: tuple[Perm, int] | None, mask: int
-) -> ClassificationReport:
-    """One report row from the rank, w0 degree, first failing conjugate and
+def _report(pi: Perm, r: int, deg: int, passes: bool, mask: int) -> ClassificationReport:
+    """One report row from the rank, w0 degree, all-conjugates decision and
     containment mask; every derived field is computed here."""
     m = len(pi)
     if m % 2:
@@ -106,8 +109,7 @@ def _report(
         codim=max_rank(m) - r,
         w0_degree=deg,
         degree_verdict=verdict,
-        conjugates_pass=witness is None,
-        conjugate_witness=witness,
+        conjugates_pass=passes,
         pattern_singular=bool(specs),
         patterns=specs,
         conjectured_rationally_smooth=not specs,
@@ -122,9 +124,9 @@ def classify(pi: Perm) -> ClassificationReport:
     guard_size(m, "classify")
     pi = validate_involution(pi)
     r = rank(pi)
-    cd = conjugate_degrees(pi)  # lexicographic; w0 lies above every pi
-    witness = next(((c, d) for c, d in cd.items() if d != r), None)
-    return _report(pi, r, cd[w0(m)], witness, pattern_masks([pi])[0])
+    cd = conjugate_degrees(pi)  # w0 lies above every pi
+    passes = all(d == r for d in cd.values())
+    return _report(pi, r, cd[w0(m)], passes, pattern_masks([pi])[0])
 
 
 def sweep(m: int) -> SweepReport:
@@ -156,26 +158,24 @@ def sweep(m: int) -> SweepReport:
     # A chunk's outer masks, h per member, stay within MASK_CHUNK_BYTES.
     step = max(1, MASK_CHUNK_BYTES // (max(1, h) * cls_masks[:1].nbytes))
     conj_ok = np.full(bits.shape[2], ~np.uint64(0))  # packed like the masks
-    witnesses: dict[int, tuple[Perm, int]] = {}
     for s in range(0, len(cls_rows), step):
         # Neighbours outside the class are built for this chunk only: each
         # has exactly one class neighbour, so each is built once.
         new, n = below_masks(bits, outer[s : s + step].reshape(-1, m))
         built, compared = built + len(new), compared + n
         held = max(held, cls_masks.nbytes + new.nbytes)
-        for k, c in enumerate(map(tuple, cls_rows[s : s + step].tolist())):
-            words = np.flatnonzero(cls_masks[s + k])  # those holding some involution <= c
+        for k, mask in enumerate(cls_masks[s : s + step]):
+            # A failed row stays failed: only w0, the last member, counts every row.
+            live = mask if s + k == len(cls_rows) - 1 else mask & conj_ok
+            words = np.flatnonzero(live)  # those holding some live involution <= the member
             nbr_masks = np.concatenate((cls_masks[inner[s + k]], new[k * h : (k + 1) * h]))
             nbr_masks = np.take(nbr_masks, words, axis=1).view(np.uint8)
             deg_c = np.unpackbits(nbr_masks, axis=1).sum(axis=0, dtype=np.uint8)
             viol = np.packbits(deg_c != ranks.reshape(-1, 64)[words].ravel()).view(np.uint64)
-            viol &= cls_masks[s + k, words]
-            fresh = np.flatnonzero(np.unpackbits((viol & conj_ok[words]).view(np.uint8)))
-            conj_ok[words] &= ~viol
-            at = words[fresh // 64] * 64 + fresh % 64
-            witnesses.update(zip(at.tolist(), [(c, d) for d in deg_c[fresh].tolist()]))
+            conj_ok[words] &= ~(viol & live[words])
         log.info("sweep m=%d: %d of %d class members, %d masks", m, s + k + 1, len(cls_rows), built)
     deg_w0 = deg_c  # w0, the last member, lies above every row: its words are all words
+    passes = np.unpackbits(conj_ok.view(np.uint8))
     stamps.append(time.perf_counter())
     pattern_bits = pattern_masks(invs)
     stamps.append(time.perf_counter())
@@ -185,7 +185,7 @@ def sweep(m: int) -> SweepReport:
     avoiding_singular: list[Perm] = []
     counts = {RATIONALLY_SMOOTH: 0, RATIONALLY_SINGULAR: 0, NOT_APPLICABLE: 0}
     for i, pi in enumerate(invs):
-        row = _report(pi, int(ranks[i]), int(deg_w0[i]), witnesses.get(i), pattern_bits[i])
+        row = _report(pi, int(ranks[i]), int(deg_w0[i]), bool(passes[i]), pattern_bits[i])
         counts[row.degree_verdict] += 1
         if row.pattern_singular and row.degree_verdict == RATIONALLY_SMOOTH:
             singular_smooth.append(pi)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,17 @@ def test_orbit_of_flag_malformed(tmp_path, capsys):
     code, _, err = run(capsys, "orbit-of-flag", str(path))
     assert code == 65
     assert "malformed" in err
+
+
+def test_orbit_of_flag_exponent_exits_fast(tmp_path, capsys):
+    # Fraction("1e20000000") alone takes tens of seconds; the token is refused first
+    path = tmp_path / "flag.txt"
+    path.write_text("2\n1e20000000 0\n0 1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orbit-of-flag", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 65 and out == ""
+    assert err == "flagorbits: malformed input: bad rational in row: '1e20000000 0'\n"
 
 
 def test_orbit_of_flag_not_utf8(tmp_path, capsys):

@@ -470,6 +470,9 @@ def test_orbit_of_flag_rejects_malformed_shapes():
         orbit_of_flag(((1, 0, 0), (0, 1, 0)))  # 2 x 3
     with pytest.raises(MalformedInput):
         orbit_of_flag(())
+    for token in ("x", "1/0", "1E5"):
+        with pytest.raises(MalformedInput):
+            orbit_of_flag([[token]])
 
 
 def test_flag_file_round_trip():

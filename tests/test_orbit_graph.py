@@ -277,28 +277,21 @@ def test_degree_functions_check_input():
                 call(bad)
 
 
-def test_w0_degree_reads_w0_alone(monkeypatch):
-    import flagorbits.orbit_graph as og
-
+def test_w0_degree_reads_w0_alone():
     class_graph.cache_clear()
     assert w0_degree(identity(12)) == rank(identity(12))
     assert class_graph.cache_info().currsize == 0
-
-    def no_work(*args):
-        raise AssertionError("w0's neighbours built past the guard")
-
-    monkeypatch.setattr(og, "edge_rows", no_work)
-    with pytest.raises(TooLarge):
-        w0_degree(identity(13))
 
 
 def test_class_graph_guard_fires_before_work(monkeypatch):
     import flagorbits.orbit_graph as og
 
-    def enumerated(m):
-        raise AssertionError("w0_class ran past the guard")
+    def no_work(*args):
+        raise AssertionError("work ran past the guard")
 
-    monkeypatch.setattr(og, "w0_class", enumerated)
+    # class_graph enumerates the class; w0_degree reads w0's own edge rows
+    monkeypatch.setattr(og, "w0_class", no_work)
+    monkeypatch.setattr(og, "edge_rows", no_work)
     for m in (13, 16):
         for call in (w0_degree, conjugate_degrees):
             with pytest.raises(TooLarge):

@@ -32,6 +32,7 @@ CALLS = {
     "determinant": lambda: determinant(slice_gram(3), (1, 2, 3, 4), (2, 3, 4, 5)),
     "slice_ideal+monomial_claim": _slice,
     "classify": lambda: classify(parse_perm("21436587")),
+    "conjugate_witness": lambda: classify(parse_perm("21435")).conjugate_witness,
     "sweep": lambda: sweep(6),
 }
 

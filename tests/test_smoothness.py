@@ -83,6 +83,20 @@ def test_sweep_conjugates_pass_matches_classify():
         assert rows == full
         if m in (5, 6):
             assert [r.certificates for r in rows] == [f.certificates for f in full]
+            assert [r.conjugate_witness for r in rows] == [f.conjugate_witness for f in full]
+
+
+def test_sweep_finds_no_witness(monkeypatch):
+    # the sweep decides pass or fail alone; a witness is found on first access
+    import flagorbits.smoothness as sm
+
+    records = sweep_records(sweep(6))
+
+    def no_witness(pi):
+        raise AssertionError("the sweep looked for a witness")
+
+    monkeypatch.setattr(sm, "conjugate_degrees", no_witness)
+    assert sweep_records(sweep(6)) == records
 
 
 def test_sweep_smooth_implies_conjugates_pass():
