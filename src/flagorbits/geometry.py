@@ -17,7 +17,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .errors import DegenerateFlag, InInterval, MalformedInput, NotANeighbor
+from .errors import DegenerateFlag, InInterval, MalformedInput, NotANeighbor, TooLarge
 from .perms import Perm, format_perm, guard_size, validate_involution, w0
 from .bruhat import prefix_violation
 from .orbit_graph import edges
@@ -25,6 +25,8 @@ from .poly import Poly, Var, determinant
 
 FlagMatrix = tuple[tuple[Fraction, ...], ...]
 Weight = tuple[int, ...]
+
+FLAG_SIZE_GUARD = 64  # orbit_of_flag takes about 4 s on a random flag at m = 80
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +286,12 @@ def monomial_claim(pi: Perm, v: Perm, n: int) -> bool:
 
 
 def flag_matrix(rows: Sequence[Sequence[Fraction | int | str]]) -> FlagMatrix:
-    """The rows as an m x m matrix of Fractions, m >= 1; MalformedInput otherwise.
-    Text entries take no exponent: Fraction("1e20000000") alone takes tens of seconds."""
+    """The rows as an m x m matrix of Fractions, 1 <= m <= FLAG_SIZE_GUARD (TooLarge
+    above it, before any entry is read); MalformedInput otherwise.  Text entries
+    take no exponent: Fraction("1e20000000") alone takes tens of seconds."""
     m = len(rows)
+    if m > FLAG_SIZE_GUARD:
+        raise TooLarge(f"flag guard is m <= {FLAG_SIZE_GUARD}, got {m}")
     if m < 1:
         raise MalformedInput("a flag needs m >= 1 rows")
     out = []

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NotInInterval, TooLarge
 from .perms import Perm, Transposition, all_transpositions, format_perm, guard_size
-from .perms import validate_involution, w0, w0_class
+from .perms import row_keys, validate_involution, w0, w0_class
 from .bruhat import Interval, above
 from .bruhat import bruhat_leq  # noqa: F401  (bench/tracer.py patches it here)
 
@@ -89,16 +89,6 @@ def edge_rows(rows: np.ndarray) -> np.ndarray:
         flat[at[same] + mu_a[same] - 1] = np.broadcast_to(b, same.shape)[same]
         flat[at[same] + mu_b[same] - 1] = np.broadcast_to(a, same.shape)[same]
     return out
-
-
-def row_keys(rows: np.ndarray) -> np.ndarray:
-    """One int64 key per one-line row (last axis): its base-(m+1) digits, most
-    significant first, so keys sort as the rows do lexicographically."""
-    m = rows.shape[-1]
-    keys = np.zeros(rows.shape[:-1], dtype=np.int64)
-    for k in range(m):
-        keys = keys * (m + 1) + rows[..., k]
-    return keys
 
 
 def edge_keys(rows: np.ndarray) -> np.ndarray:

@@ -13,12 +13,18 @@ the witnesses of a pattern already known to occur, and is its test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from functools import cache
+from itertools import combinations
+
+import numpy as np
 
 from .errors import MalformedInput
-from .perms import Perm, fixed_points, is_involution, parse_perm, two_cycles
+from .perms import Perm, fixed_points, involution_rows, is_involution, parse_perm, row_keys
+from .perms import two_cycles
 
 EVEN_FIXED_BETWEEN = "even-fixed-between"
+# Rows `pattern_masks` handles at once: whole levels add 13 MB to a first classify at m = 12.
+DELETION_CHUNK_ROWS = 1024
 
 PATTERN_2143: Perm = (2, 1, 4, 3)
 PATTERN_1324: Perm = (1, 3, 2, 4)
@@ -107,36 +113,62 @@ def occurrences(pi: Perm, spec: PatternSpec) -> list[PatternHit]:
     return hits
 
 
-def contains_qualified_2143(pi: Perm) -> bool:
-    """2143 with an even number of fixed points strictly between the pairs."""
-    fixed_upto = list(accumulate((v == i for i, v in enumerate(pi, start=1)), initial=0))
-    cycles = [(i, v) for i, v in enumerate(pi, start=1) if v > i]
-    # two 2-cycles (a, b), (c, d) form a 2143 exactly when b < c
-    between = (fixed_upto[c - 1] - fixed_upto[b] for _, b in cycles for c, _ in cycles if b < c)
-    return any(count % 2 == 0 for count in between)
+def qualified_2143(rows: np.ndarray) -> np.ndarray:
+    """Whether each involution, a row of a (K, m) int8 array, contains 2143
+    with an even number of fixed points strictly between the pairs.
+
+    Two 2-cycles (a, b), (c, d) form a 2143 exactly when b < c, with an even
+    number of fixed points between exactly when the fixed-point prefix counts
+    at b and c have the same parity: c hits when some earlier end b has it.
+    """
+    pos = np.arange(1, rows.shape[1] + 1, dtype=np.int8)
+    odd = np.cumsum(rows == pos, axis=1, dtype=np.int8) % 2 == 1
+    hit = np.zeros(len(rows), dtype=bool)
+    for parity in (odd, ~odd):
+        seen = np.logical_or.accumulate((rows < pos) & parity, axis=1)
+        hit |= ((rows > pos) & parity & seen).any(axis=1)
+    return hit
 
 
-def pattern_masks(invs: list[Perm]) -> list[int]:
-    """Containment masks of the given involutions, in the order given.
+def pattern_masks(rows: np.ndarray) -> np.ndarray:
+    """Containment masks (int64) of the involutions in the rows of a (K, m)
+    int8 array, in the order given, DELETION_CHUNK_ROWS rows at a time.
 
     An occurrence in pi misses an orbit of pi and survives its deletion; one in
     pi minus an orbit lifts back to pi.  So mask(pi) = own bit | the masks of pi
-    minus each orbit, memoised over the deletion closure of invs only.
+    minus each orbit, read from the cached tables of the smaller sizes.
     Deleting a fixed point flips the parity of the qualified 2143, so that bit
-    is tested directly instead.
+    is tested directly instead, and left out of the tables.
     """
-    memo: dict[Perm, int] = {(): 0}
-    return [_deletion_mask(pi, memo) | QUALIFIED_BIT * contains_qualified_2143(pi) for pi in invs]
+    k = rows.shape[1]
+    own = [(pat, bit) for pat, bit in _OWN_BIT.items() if len(pat) == k]
+    pos = np.arange(1, k + 1, dtype=np.int8)
+    masks = np.zeros(len(rows), dtype=np.int64)
+    for s in range(0, len(rows), DELETION_CHUNK_ROWS):
+        chunk, out = rows[s : s + DELETION_CHUNK_ROWS], masks[s : s + DELETION_CHUNK_ROWS]
+        out |= QUALIFIED_BIT * qualified_2143(chunk)
+        for pat, bit in own:
+            out[(chunk == pat).all(axis=1)] |= bit
+        # delete each orbit {i, v} once: at a fixed point, or at a 2-cycle's start
+        for at, size in ((chunk == pos, k - 1), (chunk > pos, k - 2)):
+            r, c = np.nonzero(at)
+            if not r.size:
+                continue
+            sub, i, v = chunk[r], pos[c, None], chunk[r, c, None]
+            rest = sub[(sub != i) & (sub != v)].reshape(len(r), size)
+            child = rest - (rest > i) - ((rest > v) & (v > i))
+            keys, below = _level_masks(size)
+            np.bitwise_or.at(out, r, below[np.searchsorted(keys, row_keys(child))])
+    return masks
 
 
-def _deletion_mask(pi: Perm, memo: dict[Perm, int]) -> int:
-    # A module-level function: a recursive closure would hold memo in a
-    # reference cycle past the call.
-    bits = _OWN_BIT.get(pi, 0)
-    for i, v in enumerate(pi, start=1):
-        if v >= i:  # delete the orbit {i, v}, relabelling the rest
-            child = tuple(w - (w > i) - (w > v > i) for w in pi if w != i and w != v)
-            got = memo.get(child)
-            bits |= _deletion_mask(child, memo) if got is None else got
-    memo[pi] = bits
-    return bits
+@cache
+def _level_masks(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, masks) of every involution of S_k, in `involution_rows` order,
+    built once per size as read-only arrays: ascending `row_keys` and the
+    masks without the qualified bit."""
+    rows = involution_rows(k)
+    table = row_keys(rows), pattern_masks(rows) & ~QUALIFIED_BIT
+    for a in table:
+        a.flags.writeable = False
+    return table

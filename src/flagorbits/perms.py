@@ -192,14 +192,29 @@ def involution_rows(m: int) -> np.ndarray:
     """
     if m < 0:
         raise MalformedInput(f"involutions need m >= 0, got {m}")
-    older = old = np.zeros((1, 0), dtype=np.int8)  # S_0; older is unread at k = 1
+    return _recurrence_rows(m, w0_class_only=False)
+
+
+def _recurrence_rows(m: int, w0_class_only: bool) -> np.ndarray:
+    # The w0-class has k % 2 fixed points, so rows with pi(1) = 1 only at odd k.
+    older = old = np.zeros((1, 0), dtype=np.int8)  # size 0; older is unread at k = 1
     for k in range(1, m + 1):
-        blocks = [np.insert(old + 1, 0, 1, axis=1)]
+        blocks = [np.insert(old + 1, 0, 1, axis=1)] if k % 2 or not w0_class_only else []
         for j in range(2, k + 1):
             rest = np.insert(older + 1 + (older >= j - 1), j - 2, 1, axis=1)
             blocks.append(np.insert(rest, 0, j, axis=1))
         older, old = old, np.concatenate(blocks)
     return old
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per one-line row (last axis): its base-(m+1) digits, most
+    significant first, so keys sort as the rows do lexicographically."""
+    m = rows.shape[-1]
+    keys = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for k in range(m):
+        keys = keys * (m + 1) + rows[..., k]
+    return keys
 
 
 def enumerate_involutions(m: int) -> list[Perm]:
@@ -210,14 +225,12 @@ def enumerate_involutions(m: int) -> list[Perm]:
 def w0_class(m: int) -> list[Perm]:
     """Involutions with the cycle type of w0: floor(m/2) two-cycles.
 
-    Lexicographic order on one-line notation: the rows of `involution_rows`
-    with exactly m % 2 fixed points.
+    Lexicographic order on one-line notation, built by the recurrence of
+    `involution_rows` kept to the class: C(m) = (m-1) C(m-2) for even m.
     """
     if m < 1:
         raise MalformedInput(f"w0_class needs m >= 1, got {m}")
-    rows = involution_rows(m)
-    fixed = (rows == np.arange(1, m + 1)).sum(axis=1, dtype=np.int8)
-    return [tuple(row.tolist()) for row in rows[fixed == m % 2]]
+    return [tuple(row.tolist()) for row in _recurrence_rows(m, w0_class_only=True)]
 
 
 def all_transpositions(m: int) -> list[Transposition]:

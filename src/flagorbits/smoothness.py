@@ -126,7 +126,7 @@ def classify(pi: Perm) -> ClassificationReport:
     r = rank(pi)
     cd = conjugate_degrees(pi)  # w0 lies above every pi
     passes = all(d == r for d in cd.values())
-    return _report(pi, r, cd[w0(m)], passes, pattern_masks([pi])[0])
+    return _report(pi, r, cd[w0(m)], passes, int(pattern_masks(np.array([pi], dtype=np.int8))[0]))
 
 
 def sweep(m: int) -> SweepReport:
@@ -136,7 +136,7 @@ def sweep(m: int) -> SweepReport:
     `class_graph` (`bruhat.below_masks`).  The class masks are kept; the
     masks of its `outer` rows are built per chunk of members and dropped
     after it.  Pattern containment comes from one orbit-deletion
-    pass over all sizes up to m.
+    pass over the rows, reading the cached tables of the sizes below m.
     """
     if m < 1:
         raise MalformedInput(f"sweep needs m >= 1, got {m}")
@@ -177,7 +177,7 @@ def sweep(m: int) -> SweepReport:
     deg_w0 = deg_c  # w0, the last member, lies above every row: its words are all words
     passes = np.unpackbits(conj_ok.view(np.uint8))
     stamps.append(time.perf_counter())
-    pattern_bits = pattern_masks(invs)
+    pattern_bits = pattern_masks(inv_rows).tolist()
     stamps.append(time.perf_counter())
 
     rows: list[ClassificationReport] = []

@@ -200,6 +200,17 @@ def test_orbit_of_flag_exponent_exits_fast(tmp_path, capsys):
     assert err == "flagorbits: malformed input: bad rational in row: '1e20000000 0'\n"
 
 
+def test_orbit_of_flag_guard_exits_fast(tmp_path, capsys):
+    m = 65
+    path = tmp_path / "flag.txt"
+    path.write_text(f"{m}\n" + "".join(" ".join(["1/3"] * m) + "\n" for _ in range(m)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orbit-of-flag", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 66 and out == ""
+    assert err == "flagorbits: too large: flag guard is m <= 64, got 65\n"
+
+
 def test_orbit_of_flag_not_utf8(tmp_path, capsys):
     path = tmp_path / "flag.txt"
     path.write_bytes(b"2\n1 0\n0 \xff\n")

@@ -17,6 +17,7 @@ from flagorbits.bruhat import bruhat_leq, codim, rank
 from flagorbits.orbit_graph import neighbors, w0_degree
 from flagorbits.poly import Poly, determinant
 from flagorbits.geometry import (
+    FLAG_SIZE_GUARD,
     attractiveness_check,
     canonical_var,
     expected_weights,
@@ -473,6 +474,24 @@ def test_orbit_of_flag_rejects_malformed_shapes():
     for token in ("x", "1/0", "1E5"):
         with pytest.raises(MalformedInput):
             orbit_of_flag([[token]])
+
+
+def test_flag_guard_fires_before_any_fraction(monkeypatch):
+    import flagorbits.geometry as geo
+
+    big = [[int(i == j) for j in range(FLAG_SIZE_GUARD + 1)] for i in range(FLAG_SIZE_GUARD + 1)]
+    text = format_flag_file(big)
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(geo, "Fraction", no_fraction)
+    for call in (lambda: flag_matrix(big), lambda: orbit_of_flag(big), lambda: parse_flag_file(text)):
+        with pytest.raises(TooLarge):
+            call()
+    monkeypatch.undo()
+    at_guard = [row[1:] for row in big[1:]]
+    assert orbit_of_flag(at_guard) == w0(FLAG_SIZE_GUARD)  # the guard admits m = 64
 
 
 def test_flag_file_round_trip():

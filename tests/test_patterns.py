@@ -1,3 +1,6 @@
+from itertools import accumulate
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -6,6 +9,7 @@ from flagorbits.perms import (
     enumerate_involutions,
     fixed_points,
     insert_fixed_point,
+    involution_rows,
     is_involution,
     parse_perm,
 )
@@ -17,9 +21,11 @@ from flagorbits.patterns import (
     SINGULAR,
     SPECS,
     PatternSpec,
+    _level_masks,
     bad_patterns,
     occurrences,
     pattern_masks,
+    qualified_2143,
     standardize,
 )
 from flagorbits.smoothness import classify
@@ -39,7 +45,7 @@ def test_contains_examples():
         (parse_perm("14325"), PatternSpec(parse_perm("14325")), True),
         (parse_perm("21435"), QUALIFIED_2143, True),
     ]
-    masks = pattern_masks([pi for pi, _, _ in cases])
+    masks = [pattern_masks(np.array([pi], dtype=np.int8))[0] for pi, _, _ in cases]
     for (pi, spec, contained), mask in zip(cases, masks):
         assert bool(mask >> SPECS.index(spec) & 1) == contained
         assert bool(occurrences(pi, spec)) == contained
@@ -75,7 +81,56 @@ def test_masks_match_occurrences_exhaustively():
     # every bit, the qualified 2143 included, on every involution up to m=8
     for m in range(0, 9):
         invs = enumerate_involutions(m)
-        assert pattern_masks(invs) == [_oracle_mask(pi) for pi in invs], m
+        assert pattern_masks(involution_rows(m)).tolist() == [_oracle_mask(pi) for pi in invs], m
+
+
+def _dict_masks(invs):
+    """A second oracle: the orbit-deletion DP memoised in a dict, per
+    involution, with the qualified 2143 from fixed-point prefix counts."""
+    own = {spec.pattern: 1 << k for k, spec in enumerate(SPECS) if not spec.qualifier}
+    memo = {(): 0}
+
+    def deletion_mask(pi):
+        if pi not in memo:
+            bits = own.get(pi, 0)
+            for i, v in enumerate(pi, start=1):
+                if v >= i:  # delete the orbit {i, v}, relabelling the rest
+                    child = tuple(w - (w > i) - (w > v > i) for w in pi if w != i and w != v)
+                    bits |= deletion_mask(child)
+            memo[pi] = bits
+        return memo[pi]
+
+    qualified = 1 << SPECS.index(QUALIFIED_2143)
+    return [deletion_mask(pi) | qualified * _prefix_count_2143(pi) for pi in invs]
+
+
+def _prefix_count_2143(pi):
+    """2143 with an even number of fixed points strictly between the pairs."""
+    fixed_upto = list(accumulate((v == i for i, v in enumerate(pi, start=1)), initial=0))
+    cycles = [(i, v) for i, v in enumerate(pi, start=1) if v > i]
+    # two 2-cycles (a, b), (c, d) form a 2143 exactly when b < c
+    between = (fixed_upto[c - 1] - fixed_upto[b] for _, b in cycles for c, _ in cycles if b < c)
+    return any(count % 2 == 0 for count in between)
+
+
+def test_masks_match_dict_dp():
+    for m in range(0, 11):
+        assert pattern_masks(involution_rows(m)).tolist() == _dict_masks(enumerate_involutions(m)), m
+
+
+def test_qualified_2143_matches_prefix_counts():
+    for m in range(0, 11):
+        got = qualified_2143(involution_rows(m)).tolist()
+        assert got == [_prefix_count_2143(pi) for pi in enumerate_involutions(m)], m
+
+
+def test_classify_builds_tables_below_its_size_only():
+    _level_masks.cache_clear()
+    classify(parse_perm("2,1,4,3,6,5,8,7,10,9,11,12"))
+    assert _level_masks.cache_info().currsize == 12
+    for k in range(12):
+        _level_masks(k)
+    assert _level_masks.cache_info().currsize == 12  # exactly the sizes 0..11
 
 
 def left_multiply(t, p):
@@ -116,12 +171,13 @@ def around_2143(draw, max_size=12):
 @example(parse_perm("213465"))  # two between
 @example(parse_perm("21354687"))  # the outer pairs have two between
 def test_masks_match_occurrences_random(pi):
-    assert pattern_masks([pi]) == [_oracle_mask(pi)]
+    assert pattern_masks(np.array([pi], dtype=np.int8)).tolist() == [_oracle_mask(pi)]
 
 
 def test_masks_of_mixed_sizes():
     invs = [parse_perm("21354687"), (1,), parse_perm("2143"), (), parse_perm("426153")]
-    assert pattern_masks(invs) == [_oracle_mask(pi) for pi in invs]
+    for pi in invs:  # one call per size
+        assert pattern_masks(np.array([pi], dtype=np.int8)).tolist() == [_oracle_mask(pi)]
 
 
 def test_pattern_spec_validation():

@@ -174,6 +174,13 @@ def test_w0_class():
         assert w0_class(m) == want
 
 
+def test_w0_class_matches_filter_of_involution_rows():
+    for m in range(1, 13):
+        rows = involution_rows(m)
+        fixed = (rows == np.arange(1, m + 1)).sum(axis=1)
+        assert w0_class(m) == [tuple(row) for row in rows[fixed == m % 2].tolist()], m
+
+
 def test_validate_perm_rejects_non_bijection():
     with pytest.raises(MalformedInput):
         validate_perm([1, 1, 3])

@@ -12,7 +12,7 @@ import pytest
 from flagorbits.geometry import monomial_claim, slice_gram, slice_ideal
 from flagorbits.orbit_graph import class_graph, w0_degree
 from flagorbits.patterns import pattern_masks
-from flagorbits.perms import enumerate_involutions, parse_perm, w0_class
+from flagorbits.perms import enumerate_involutions, involution_rows, parse_perm, w0_class
 from flagorbits.poly import determinant
 from flagorbits.smoothness import classify, sweep
 
@@ -28,7 +28,7 @@ CALLS = {
     "w0_class": lambda: w0_class(10),
     "class_graph": lambda: class_graph(10),
     "w0_degree": lambda: w0_degree(parse_perm("21436587")),
-    "pattern_masks": lambda: pattern_masks(enumerate_involutions(7)),
+    "pattern_masks": lambda: pattern_masks(involution_rows(7)),
     "determinant": lambda: determinant(slice_gram(3), (1, 2, 3, 4), (2, 3, 4, 5)),
     "slice_ideal+monomial_claim": _slice,
     "classify": lambda: classify(parse_perm("21436587")),
