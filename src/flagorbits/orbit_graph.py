@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NotInInterval, TooLarge
 from .perms import Perm, Transposition, all_transpositions, format_perm, guard_size
-from .perms import row_keys, validate_involution, w0, w0_class
+from .perms import row_keys, validate_involution, w0, w0_class_rows
 from .bruhat import Interval, above
 from .bruhat import bruhat_leq  # noqa: F401  (bench/tracer.py patches it here)
 
@@ -109,7 +109,7 @@ def distinct_keys(keys: np.ndarray) -> np.ndarray:
 @cache
 def class_graph(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The graph at the w0-class of S_m, built once per size, as read-only
-    arrays: rows (C, m) int8, the class in `w0_class` order; inner (C, D)
+    arrays: rows (C, m) int8, the class in `w0_class_rows` order; inner (C, D)
     int16, the distinct class neighbours of rows[k] as ascending indices into
     rows; outer (C, H, m) int8, its distinct neighbours outside the class.
 
@@ -117,7 +117,7 @@ def class_graph(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and H = 0 for odd m, and the arrays are reshaped on that assumption.
     """
     guard_size(m, "class graph")
-    rows = np.array(w0_class(m), dtype=np.int8).reshape(-1, m)
+    rows = w0_class_rows(m)
     own = row_keys(rows)  # ascending, as the rows are lexicographic
     step = max(1, EDGE_CHUNK_ROWS // max(1, m * (m - 1) // 2))
     inner, outer = [], []

@@ -68,9 +68,7 @@ def parse_perm(text: str) -> Perm:
 
 def format_perm(p: Perm) -> str:
     """Canonical text form: digit string for m <= 9, comma-separated above."""
-    if len(p) <= 9:
-        return "".join(str(v) for v in p)
-    return ",".join(str(v) for v in p)
+    return ("" if len(p) <= 9 else ",").join(map(str, p))
 
 
 def identity(m: int) -> Perm:
@@ -222,15 +220,21 @@ def enumerate_involutions(m: int) -> list[Perm]:
     return [tuple(row.tolist()) for row in involution_rows(m)]
 
 
-def w0_class(m: int) -> list[Perm]:
-    """Involutions with the cycle type of w0: floor(m/2) two-cycles.
+def w0_class_rows(m: int) -> np.ndarray:
+    """Involutions with the cycle type of w0, floor(m/2) two-cycles, as the
+    rows of an int8 array in lexicographic one-line order.
 
-    Lexicographic order on one-line notation, built by the recurrence of
-    `involution_rows` kept to the class: C(m) = (m-1) C(m-2) for even m.
+    Built by the recurrence of `involution_rows` kept to the class:
+    C(m) = (m-1) C(m-2) for even m.
     """
     if m < 1:
         raise MalformedInput(f"w0_class needs m >= 1, got {m}")
-    return [tuple(row.tolist()) for row in _recurrence_rows(m, w0_class_only=True)]
+    return _recurrence_rows(m, w0_class_only=True)
+
+
+def w0_class(m: int) -> list[Perm]:
+    """The rows of `w0_class_rows` as tuples."""
+    return [tuple(row.tolist()) for row in w0_class_rows(m)]
 
 
 def all_transpositions(m: int) -> list[Transposition]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -26,10 +26,9 @@ from .perms import (
     validate_involution,
     w0,
 )
-from .bruhat import MASK_CHUNK_BYTES, below_masks, max_rank, rank, threshold_bits
+from .bruhat import MASK_CHUNK_BYTES, below_masks, max_rank, rank, ranks, threshold_bits
 from .orbit_graph import class_graph, conjugate_degrees, w0_degree
 from .patterns import (
-    EVEN_FIXED_BETWEEN,
     PATTERN_2143,
     SINGULAR,
     SPECS,
@@ -101,7 +100,7 @@ def _report(pi: Perm, r: int, deg: int, passes: bool, mask: int) -> Classificati
         verdict = NOT_APPLICABLE
     else:
         verdict = RATIONALLY_SMOOTH if deg == r else RATIONALLY_SINGULAR
-    specs = tuple(spec for k, spec in enumerate(SPECS[:SINGULAR]) if mask >> k & 1)
+    specs = _specs(mask)
     return ClassificationReport(
         perm=pi,
         m=m,
@@ -115,6 +114,12 @@ def _report(pi: Perm, r: int, deg: int, passes: bool, mask: int) -> Classificati
         conjectured_rationally_smooth=not specs,
         conjectured_smooth=not mask,
     )
+
+
+@cache
+def _specs(mask: int) -> tuple[PatternSpec, ...]:
+    """The singularity-forcing specs a containment mask holds, in SPECS order."""
+    return tuple(spec for k, spec in enumerate(SPECS[:SINGULAR]) if mask >> k & 1)
 
 
 def classify(pi: Perm) -> ClassificationReport:
@@ -147,8 +152,8 @@ def sweep(m: int) -> SweepReport:
     invs = [tuple(row.tolist()) for row in inv_rows]
     stamps.append(time.perf_counter())
     bits = threshold_bits(inv_rows)
-    ranks = np.zeros(64 * bits.shape[2], dtype=np.int32)  # one per mask bit
-    ranks[: len(invs)] = [rank(p) for p in invs]
+    rank_col = np.zeros(64 * bits.shape[2], dtype=np.int32)  # one per mask bit
+    rank_col[: len(invs)] = ranks(inv_rows)
     stamps.append(time.perf_counter())
 
     cls_rows, inner, outer = class_graph(m)
@@ -171,27 +176,26 @@ def sweep(m: int) -> SweepReport:
             nbr_masks = np.concatenate((cls_masks[inner[s + k]], new[k * h : (k + 1) * h]))
             nbr_masks = np.take(nbr_masks, words, axis=1).view(np.uint8)
             deg_c = np.unpackbits(nbr_masks, axis=1).sum(axis=0, dtype=np.uint8)
-            viol = np.packbits(deg_c != ranks.reshape(-1, 64)[words].ravel()).view(np.uint64)
+            viol = np.packbits(deg_c != rank_col.reshape(-1, 64)[words].ravel()).view(np.uint64)
             conj_ok[words] &= ~(viol & live[words])
         log.info("sweep m=%d: %d of %d class members, %d masks", m, s + k + 1, len(cls_rows), built)
     deg_w0 = deg_c  # w0, the last member, lies above every row: its words are all words
     passes = np.unpackbits(conj_ok.view(np.uint8))
     stamps.append(time.perf_counter())
-    pattern_bits = pattern_masks(inv_rows).tolist()
+    pattern_bits = pattern_masks(inv_rows)
     stamps.append(time.perf_counter())
 
-    rows: list[ClassificationReport] = []
-    singular_smooth: list[Perm] = []
-    avoiding_singular: list[Perm] = []
-    counts = {RATIONALLY_SMOOTH: 0, RATIONALLY_SINGULAR: 0, NOT_APPLICABLE: 0}
-    for i, pi in enumerate(invs):
-        row = _report(pi, int(ranks[i]), int(deg_w0[i]), bool(passes[i]), pattern_bits[i])
-        counts[row.degree_verdict] += 1
-        if row.pattern_singular and row.degree_verdict == RATIONALLY_SMOOTH:
-            singular_smooth.append(pi)
-        if not row.pattern_singular and row.degree_verdict == RATIONALLY_SINGULAR:
-            avoiding_singular.append(pi)
-        rows.append(row)
+    n = len(invs)
+    cols = (rank_col[:n], deg_w0[:n], passes[:n].astype(bool), pattern_bits)
+    rows = list(map(_report, invs, *(c.tolist() for c in cols)))
+    # `_report`'s verdicts and pattern_singular, read off the columns: odd m has no verdict.
+    smooth = (deg_w0[:n] == rank_col[:n]) & (m % 2 == 0)
+    singular = (deg_w0[:n] != rank_col[:n]) & (m % 2 == 0)
+    forced = pattern_bits & ((1 << SINGULAR) - 1) != 0
+    counts = {RATIONALLY_SMOOTH: int(smooth.sum()), RATIONALLY_SINGULAR: int(singular.sum())}
+    counts[NOT_APPLICABLE] = n - sum(counts.values())
+    singular_smooth = [invs[i] for i in np.flatnonzero(forced & smooth).tolist()]
+    avoiding_singular = [invs[i] for i in np.flatnonzero(~forced & singular).tolist()]
     stamps.append(time.perf_counter())
     return SweepReport(
         m=m,
@@ -339,12 +343,11 @@ def verify_known_cases() -> CaseChecklist:
 # ---------------------------------------------------------------------------
 
 
-def _pattern_tokens(report: ClassificationReport) -> str:
-    toks = []
-    for spec in report.patterns:
-        suffix = "q" if spec.qualifier == EVEN_FIXED_BETWEEN else ""
-        toks.append(format_perm(spec.pattern) + suffix)
-    return ",".join(toks) if toks else "-"
+@cache
+def _pattern_tokens(specs: tuple[PatternSpec, ...]) -> str:
+    """The patterns field of a report: one token per spec, "-" for none."""
+    toks = (format_perm(spec.pattern) + ("q" if spec.qualifier else "") for spec in specs)
+    return ",".join(toks) or "-"
 
 
 def report_record(report: ClassificationReport) -> str:
@@ -357,7 +360,7 @@ def report_record(report: ClassificationReport) -> str:
         f"deg_w0={report.w0_degree}",
         f"verdict={report.degree_verdict}",
         f"conjugates={'pass' if report.conjugates_pass else 'fail'}",
-        f"patterns={_pattern_tokens(report)}",
+        f"patterns={_pattern_tokens(report.patterns)}",
     ]
     return " ".join(fields)
 
@@ -375,7 +378,7 @@ def report_text(report: ClassificationReport) -> str:
     if report.conjugate_witness is not None:
         c, d = report.conjugate_witness
         lines.append(f"  witness       {format_perm(c)} degree {d} != {report.rank}")
-    lines.append(f"patterns        {_pattern_tokens(report)}")
+    lines.append(f"patterns        {_pattern_tokens(report.patterns)}")
     lines.append(
         "conjectured     "
         f"rationally_smooth={str(report.conjectured_rationally_smooth).lower()} "
@@ -394,20 +397,11 @@ def sweep_text(report: SweepReport) -> str:
     lines = [f"m={report.m} involutions={len(report.rows)}"]
     if report.m % 2 == 0:
         lines.append(f"{report.counts[RATIONALLY_SINGULAR]} rationally singular")
-        lines.append(
-            "pattern-singular-degree-smooth="
-            + (
-                " ".join(format_perm(p) for p in report.pattern_singular_degree_smooth)
-                or "none"
-            )
-        )
-        lines.append(
-            "pattern-avoiding-degree-singular="
-            + (
-                " ".join(format_perm(p) for p in report.pattern_avoiding_degree_singular)
-                or "none"
-            )
-        )
+        for name, found in (
+            ("pattern-singular-degree-smooth", report.pattern_singular_degree_smooth),
+            ("pattern-avoiding-degree-singular", report.pattern_avoiding_degree_singular),
+        ):
+            lines.append(f"{name}=" + (" ".join(map(format_perm, found)) or "none"))
     else:
         fails = sum(not r.conjugates_pass for r in report.rows)
         lines.append(f"{fails} fail the all-conjugates degree test")

@@ -10,6 +10,7 @@ from flagorbits.perms import (
     enumerate_involutions,
     identity,
     involution_count,
+    involution_rows,
     w0,
 )
 from flagorbits.bruhat import (
@@ -23,6 +24,7 @@ from flagorbits.bruhat import (
     max_rank,
     prefix_violation,
     rank,
+    ranks,
     threshold_bits,
 )
 
@@ -202,10 +204,14 @@ def test_rank_values():
     assert rank((3, 4, 1, 2)) == 1
     assert rank((2, 1, 4, 3)) == 2
     assert rank((1, 3, 2, 4)) == 3
+    # past int8: rank takes any size, as codim does
+    assert rank(w0(200)) == codim(identity(200)) == 0
+    assert rank(identity(200)) == codim(w0(200)) == max_rank(200) == 10000
 
 
 def _rank_oracle(pi):
-    # independent restatement of the grading formula
+    # the crossing-count rule, once the scalar rank: each 2-cycle (i, j)
+    # lowers the grading by j - i, less the k between with pi(k) < i
     m = len(pi)
     total = m * m // 4
     for i, j in ((i, pi[i - 1]) for i in range(1, m + 1)):
@@ -221,6 +227,31 @@ def test_rank_matches_oracle_exhaustive():
         for pi in enumerate_involutions(m):
             assert rank(pi) == _rank_oracle(pi)
             assert 0 <= rank(pi) <= max_rank(m)
+
+
+def test_ranks_match_crossing_count_through_m12():
+    # Incitti's closed form against the crossing count, one call per size
+    for m in range(13):
+        rows = involution_rows(m)
+        got = ranks(rows)
+        assert got.dtype == np.int64 and got.shape == (len(rows),)
+        assert got.tolist() == [_rank_oracle(pi) for pi in rows.tolist()], m
+
+
+def test_ranks_edge_shapes(monkeypatch):
+    import flagorbits.bruhat as br
+
+    assert rank(()) == 0 and ranks(np.zeros((1, 0), dtype=np.int8)).tolist() == [0]
+    assert rank((1,)) == 0 and ranks(np.array([[1]], dtype=np.int8)).tolist() == [0]
+    for m in (0, 1, 5):
+        empty = ranks(np.zeros((0, m), dtype=np.int8))
+        assert empty.shape == (0,) and empty.dtype == np.int64
+    rows = involution_rows(7)
+    want = ranks(rows)
+    monkeypatch.setattr(br, "TABLE_CHUNK_BYTES", 50)  # 2 rows per slice at m = 7
+    assert ranks(rows).tolist() == want.tolist()
+    for row, r in zip(rows, want.tolist()):
+        assert rank(tuple(row.tolist())) == ranks(row[None])[0] == r
 
 
 def test_codim():

@@ -264,7 +264,7 @@ def test_class_graph_built_once(monkeypatch):
     def rebuilt(*args):
         raise AssertionError("class edges built again")
 
-    monkeypatch.setattr(og, "w0_class", rebuilt)
+    monkeypatch.setattr(og, "w0_class_rows", rebuilt)
     monkeypatch.setattr(og, "edge_rows", rebuilt)
     assert (classify(pi), w0_degree(pi)) == want
     assert all(a is b for a, b in zip(class_graph(10), graph))
@@ -290,7 +290,7 @@ def test_class_graph_guard_fires_before_work(monkeypatch):
         raise AssertionError("work ran past the guard")
 
     # class_graph enumerates the class; w0_degree reads w0's own edge rows
-    monkeypatch.setattr(og, "w0_class", no_work)
+    monkeypatch.setattr(og, "w0_class_rows", no_work)
     monkeypatch.setattr(og, "edge_rows", no_work)
     for m in (13, 16):
         for call in (w0_degree, conjugate_degrees):

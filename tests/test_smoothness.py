@@ -7,8 +7,9 @@ import pytest
 from flagorbits.bruhat import essential_entries
 from flagorbits.errors import MalformedInput, TooLarge
 from flagorbits.orbit_graph import conjugate_degrees
-from flagorbits.patterns import SINGULAR, SPECS, occurrences
-from flagorbits.perms import enumerate_involutions, format_perm, identity, parse_perm, w0, w0_class
+from flagorbits.patterns import SINGULAR, SPECS, occurrences, pattern_masks
+from flagorbits.perms import enumerate_involutions, format_perm, identity, parse_perm
+from flagorbits.perms import involution_rows, w0, w0_class
 from flagorbits.smoothness import (
     NOT_APPLICABLE,
     RATIONALLY_SINGULAR,
@@ -97,6 +98,46 @@ def test_sweep_finds_no_witness(monkeypatch):
 
     monkeypatch.setattr(sm, "conjugate_degrees", no_witness)
     assert sweep_records(sweep(6)) == records
+
+
+def test_sweep_has_no_scalar_rank(monkeypatch):
+    # the sweep grades its rows as one column
+    import flagorbits.smoothness as sm
+
+    def no_rank(pi):
+        raise AssertionError("the sweep called the scalar rank")
+
+    monkeypatch.setattr(sm, "rank", no_rank)
+    text = "\n".join(sweep_records(sweep(8))) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_8_SHA256
+
+
+def test_spec_lookup_matches_specs_filter():
+    from flagorbits.smoothness import _specs
+
+    for mask in set(pattern_masks(involution_rows(10)).tolist()):
+        assert _specs(mask) == tuple(s for k, s in enumerate(SPECS[:SINGULAR]) if mask >> k & 1)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_sweep_summary_matches_rows(monkeypatch, m):
+    # flipping the first pattern bit makes both coherence lists non-empty at even m
+    import flagorbits.smoothness as sm
+
+    monkeypatch.setattr(sm, "pattern_masks", lambda rows: pattern_masks(rows) ^ 1)
+    rep = sweep(m)
+    verdicts = [row.degree_verdict for row in rep.rows]
+    assert rep.counts == {v: verdicts.count(v) for v in rep.counts}
+    smooth = [row.degree_verdict == RATIONALLY_SMOOTH for row in rep.rows]
+    singular = [row.degree_verdict == RATIONALLY_SINGULAR for row in rep.rows]
+    assert rep.pattern_singular_degree_smooth == [
+        row.perm for row, ok in zip(rep.rows, smooth) if ok and row.pattern_singular
+    ]
+    assert rep.pattern_avoiding_degree_singular == [
+        row.perm for row, bad in zip(rep.rows, singular) if bad and not row.pattern_singular
+    ]
+    lists = rep.pattern_singular_degree_smooth, rep.pattern_avoiding_degree_singular
+    assert all(bool(found) == (m % 2 == 0) for found in lists)
 
 
 def test_sweep_smooth_implies_conjugates_pass():
