@@ -35,7 +35,7 @@ from .perms import (
     w0,
     w0_class,
 )
-from .bruhat import Interval, bruhat_leq, codim, interval, max_rank, rank, ranks
+from .bruhat import bruhat_leq, codim, interval, max_rank, rank, ranks
 from .orbit_graph import (
     NeighborSet,
     conjugate_degrees,

@@ -16,7 +16,6 @@ The grading is floor(m^2/4) minus Incitti's rank of the involution poset,
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -176,44 +175,25 @@ def ranks(rows: np.ndarray) -> np.ndarray:
 def rank(pi: Perm) -> int:
     """Grading of the involution pi, distance above the closed orbit:
     floor(m^2/4) minus Incitti's (inv(pi) + exc(pi)) / 2, by `ranks` on its
-    one row, held as int64 so that any m fits.  pi is unchecked; `classify`
-    and `codim` validate it.
+    one row, held as int64 so that any m fits.  A non-involution raises
+    MalformedInput.
 
     >>> rank((1, 2, 3, 4)), rank((4, 3, 2, 1)), rank((3, 4, 1, 2))
     (4, 0, 1)
     """
+    pi = validate_involution(pi)
     return int(ranks(np.array(pi, dtype=np.int64).reshape(1, len(pi)))[0])
 
 
 def codim(pi: Perm) -> int:
     """Codimension of the orbit of pi: floor(m^2/4) - rank(pi).  A
     non-involution raises MalformedInput."""
-    return max_rank(len(pi)) - rank(validate_involution(pi))
+    return max_rank(len(pi)) - rank(pi)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """The involutions weakly above base in Bruhat order."""
-
-    base: Perm
-    m: int
-    members: frozenset[Perm]
-
-    def __contains__(self, v: Perm) -> bool:
-        return v in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def sorted_members(self) -> list[Perm]:
-        return sorted(self.members)
-
-
-def interval(pi: Perm) -> Interval:
+def interval(pi: Perm) -> frozenset[Perm]:
     """I_pi: all involutions v with pi <= v, by filtering the enumeration."""
-    m = len(pi)
-    guard_size(m, "interval")
+    guard_size(len(pi), "interval")
     pi = validate_involution(pi)
-    rows = involution_rows(m)
-    members = frozenset(tuple(row.tolist()) for row in rows[above(pi, rows)])
-    return Interval(base=pi, m=m, members=members)
+    rows = involution_rows(len(pi))
+    return frozenset(map(tuple, rows[above(pi, rows)].tolist()))

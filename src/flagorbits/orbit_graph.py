@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NotInInterval, TooLarge
 from .perms import Perm, Transposition, all_transpositions, format_perm, guard_size
 from .perms import row_keys, validate_involution, w0, w0_class_rows
-from .bruhat import Interval, above
+from .bruhat import above
 from .bruhat import bruhat_leq  # noqa: F401  (bench/tracer.py patches it here)
 
 DOT_VERTEX_GUARD = 5000
@@ -57,11 +57,11 @@ def neighbors(mu: Perm) -> NeighborSet:
     return NeighborSet(center=mu, neighbors=frozenset(nu for _, nu in edges(mu)))
 
 
-def degree_in(v: Perm, iv: Interval) -> int:
-    """Number of neighbors of v lying in the interval."""
-    if v not in iv.members:
-        raise NotInInterval(f"{format_perm(v)} not in interval of {format_perm(iv.base)}")
-    return len(neighbors(v).neighbors & iv.members)
+def degree_in(v: Perm, iv: frozenset[Perm]) -> int:
+    """Number of neighbors of v lying in the interval iv."""
+    if v not in iv:
+        raise NotInInterval(f"{format_perm(v)} not in the interval")
+    return len(neighbors(v).neighbors & iv)
 
 
 def edge_rows(rows: np.ndarray) -> np.ndarray:
@@ -168,11 +168,11 @@ def w0_degree(pi: Perm) -> int:
     return int(above(pi, _w0_neighbors(len(pi))).sum())
 
 
-def export_dot(iv: Interval) -> str:
+def export_dot(iv: frozenset[Perm]) -> str:
     """DOT text for the interval graph; deterministic node and edge order."""
     if len(iv) > DOT_VERTEX_GUARD:
         raise TooLarge(f"interval has {len(iv)} vertices, guard is {DOT_VERTEX_GUARD}")
-    nodes = iv.sorted_members()
+    nodes = sorted(iv)
     rows = np.array(nodes, dtype=np.int8).reshape(len(nodes), -1)
     own = row_keys(rows)  # ascending, as the nodes are sorted
     keys = edge_keys(rows)

@@ -55,7 +55,6 @@ class PatternSpec:
 @dataclass(frozen=True)
 class PatternHit:
     indices: tuple[int, ...]
-    induced: Perm
     fixed_between: int
 
 
@@ -99,8 +98,7 @@ def occurrences(pi: Perm, spec: PatternSpec) -> list[PatternHit]:
         base = [i for pair in cyc for i in pair]
         for fix in combinations(fixed, want_fixed):
             idx = tuple(sorted(base + list(fix)))
-            induced = standardize(tuple(pi[i - 1] for i in idx))
-            if induced != pat:
+            if standardize(tuple(pi[i - 1] for i in idx)) != pat:
                 continue
             between = 0
             if pat == PATTERN_2143:
@@ -108,7 +106,7 @@ def occurrences(pi: Perm, spec: PatternSpec) -> list[PatternHit]:
                 between = sum(1 for k in fixed if lo < k < hi)
                 if spec.qualifier == EVEN_FIXED_BETWEEN and between % 2:
                     continue
-            hits.append(PatternHit(indices=idx, induced=induced, fixed_between=between))
+            hits.append(PatternHit(indices=idx, fixed_between=between))
     hits.sort(key=lambda h: h.indices)
     return hits
 

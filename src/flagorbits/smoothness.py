@@ -50,18 +50,53 @@ NOT_APPLICABLE = "not_applicable"
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The five facts that decide pi's orbit closure; the other fields derive from them.
+
+    >>> rep = classify((3, 4, 1, 2))
+    >>> rep.codim, rep.degree_verdict, rep.patterns
+    (3, 'rationally_smooth', ())
+    >>> rep = classify(parse_perm("21435"))
+    >>> rep.codim, rep.degree_verdict, rep.patterns
+    (2, 'not_applicable', (PatternSpec(pattern=(2, 1, 4, 3), qualifier='even-fixed-between'),))
+    """
+
     perm: Perm
-    m: int
     rank: int
-    codim: int
     w0_degree: int
-    degree_verdict: str
     conjugates_pass: bool
-    pattern_singular: bool
-    # The singularity-forcing specs pi contains, in SPECS order.
-    patterns: tuple[PatternSpec, ...]
-    conjectured_rationally_smooth: bool
-    conjectured_smooth: bool
+    # Bit k says that perm contains patterns.SPECS[k].
+    mask: int
+
+    @property
+    def m(self) -> int:
+        return len(self.perm)
+
+    @property
+    def codim(self) -> int:
+        return max_rank(len(self.perm)) - self.rank
+
+    @property
+    def degree_verdict(self) -> str:
+        """Even m: rationally smooth exactly when the w0 degree is the rank."""
+        if len(self.perm) % 2:
+            return NOT_APPLICABLE
+        return RATIONALLY_SMOOTH if self.w0_degree == self.rank else RATIONALLY_SINGULAR
+
+    @property
+    def patterns(self) -> tuple[PatternSpec, ...]:
+        return _specs(self.mask)
+
+    @property
+    def pattern_singular(self) -> bool:
+        return bool(self.patterns)
+
+    @property
+    def conjectured_rationally_smooth(self) -> bool:
+        return not self.pattern_singular
+
+    @property
+    def conjectured_smooth(self) -> bool:
+        return not self.mask
 
     @cached_property
     def conjugate_witness(self) -> tuple[Perm, int] | None:
@@ -92,30 +127,6 @@ class SweepReport:
     counters: dict[str, int]
 
 
-def _report(pi: Perm, r: int, deg: int, passes: bool, mask: int) -> ClassificationReport:
-    """One report row from the rank, w0 degree, all-conjugates decision and
-    containment mask; every derived field is computed here."""
-    m = len(pi)
-    if m % 2:
-        verdict = NOT_APPLICABLE
-    else:
-        verdict = RATIONALLY_SMOOTH if deg == r else RATIONALLY_SINGULAR
-    specs = _specs(mask)
-    return ClassificationReport(
-        perm=pi,
-        m=m,
-        rank=r,
-        codim=max_rank(m) - r,
-        w0_degree=deg,
-        degree_verdict=verdict,
-        conjugates_pass=passes,
-        pattern_singular=bool(specs),
-        patterns=specs,
-        conjectured_rationally_smooth=not specs,
-        conjectured_smooth=not mask,
-    )
-
-
 @cache
 def _specs(mask: int) -> tuple[PatternSpec, ...]:
     """The singularity-forcing specs a containment mask holds, in SPECS order."""
@@ -125,13 +136,12 @@ def _specs(mask: int) -> tuple[PatternSpec, ...]:
 def classify(pi: Perm) -> ClassificationReport:
     """Full report for a single involution; the same value as its `sweep` row.
     The degree of every w0-conjugate is `conjugate_degrees(pi)`."""
-    m = len(pi)
-    guard_size(m, "classify")
+    guard_size(len(pi), "classify")
     pi = validate_involution(pi)
     r = rank(pi)
     cd = conjugate_degrees(pi)  # w0 lies above every pi
-    passes = all(d == r for d in cd.values())
-    return _report(pi, r, cd[w0(m)], passes, int(pattern_masks(np.array([pi], dtype=np.int8))[0]))
+    mask = int(pattern_masks(np.array([pi], dtype=np.int8))[0])
+    return ClassificationReport(pi, r, cd[w0(len(pi))], all(d == r for d in cd.values()), mask)
 
 
 def sweep(m: int) -> SweepReport:
@@ -185,17 +195,14 @@ def sweep(m: int) -> SweepReport:
     pattern_bits = pattern_masks(inv_rows)
     stamps.append(time.perf_counter())
 
-    n = len(invs)
-    cols = (rank_col[:n], deg_w0[:n], passes[:n].astype(bool), pattern_bits)
-    rows = list(map(_report, invs, *(c.tolist() for c in cols)))
-    # `_report`'s verdicts and pattern_singular, read off the columns: odd m has no verdict.
-    smooth = (deg_w0[:n] == rank_col[:n]) & (m % 2 == 0)
-    singular = (deg_w0[:n] != rank_col[:n]) & (m % 2 == 0)
-    forced = pattern_bits & ((1 << SINGULAR) - 1) != 0
-    counts = {RATIONALLY_SMOOTH: int(smooth.sum()), RATIONALLY_SINGULAR: int(singular.sum())}
-    counts[NOT_APPLICABLE] = n - sum(counts.values())
-    singular_smooth = [invs[i] for i in np.flatnonzero(forced & smooth).tolist()]
-    avoiding_singular = [invs[i] for i in np.flatnonzero(~forced & singular).tolist()]
+    cols = (rank_col, deg_w0, passes.astype(bool), pattern_bits)
+    rows = list(map(ClassificationReport, invs, *(c[: len(invs)].tolist() for c in cols)))
+    smooth = [row for row in rows if row.degree_verdict == RATIONALLY_SMOOTH]
+    singular = [row for row in rows if row.degree_verdict == RATIONALLY_SINGULAR]
+    counts = {RATIONALLY_SMOOTH: len(smooth), RATIONALLY_SINGULAR: len(singular)}
+    counts[NOT_APPLICABLE] = len(rows) - sum(counts.values())
+    singular_smooth = [row.perm for row in smooth if row.pattern_singular]
+    avoiding_singular = [row.perm for row in singular if not row.pattern_singular]
     stamps.append(time.perf_counter())
     return SweepReport(
         m=m,
@@ -344,9 +351,9 @@ def verify_known_cases() -> CaseChecklist:
 
 
 @cache
-def _pattern_tokens(specs: tuple[PatternSpec, ...]) -> str:
-    """The patterns field of a report: one token per spec, "-" for none."""
-    toks = (format_perm(spec.pattern) + ("q" if spec.qualifier else "") for spec in specs)
+def _pattern_tokens(mask: int) -> str:
+    """The patterns field of a report: one token per spec in `_specs(mask)`, "-" for none."""
+    toks = (format_perm(spec.pattern) + ("q" if spec.qualifier else "") for spec in _specs(mask))
     return ",".join(toks) or "-"
 
 
@@ -360,7 +367,7 @@ def report_record(report: ClassificationReport) -> str:
         f"deg_w0={report.w0_degree}",
         f"verdict={report.degree_verdict}",
         f"conjugates={'pass' if report.conjugates_pass else 'fail'}",
-        f"patterns={_pattern_tokens(report.patterns)}",
+        f"patterns={_pattern_tokens(report.mask)}",
     ]
     return " ".join(fields)
 
@@ -378,7 +385,7 @@ def report_text(report: ClassificationReport) -> str:
     if report.conjugate_witness is not None:
         c, d = report.conjugate_witness
         lines.append(f"  witness       {format_perm(c)} degree {d} != {report.rank}")
-    lines.append(f"patterns        {_pattern_tokens(report.patterns)}")
+    lines.append(f"patterns        {_pattern_tokens(report.mask)}")
     lines.append(
         "conjectured     "
         f"rationally_smooth={str(report.conjectured_rationally_smooth).lower()} "

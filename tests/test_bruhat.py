@@ -264,11 +264,17 @@ def test_codim():
             codim(bad)
 
 
+def test_rank_rejects_non_involutions():
+    for bad in ((1, 1), (2, 3, 1), (5, 5, 5)):
+        with pytest.raises(MalformedInput):
+            rank(bad)
+
+
 def test_interval_examples():
-    assert interval(w0(5)).members == {w0(5)}
-    assert interval(identity(4)).members == set(enumerate_involutions(4))
+    assert interval(w0(5)) == {w0(5)}
+    assert interval(identity(4)) == set(enumerate_involutions(4))
     iv = interval((2, 1, 4, 3))
-    assert iv.sorted_members() == [
+    assert sorted(iv) == [
         (2, 1, 4, 3),
         (3, 4, 1, 2),
         (4, 2, 3, 1),
@@ -303,7 +309,7 @@ def test_interval_invariants_small():
             iv = interval(pi)
             assert pi in iv and w0(m) in iv
             # downward closure from pi in reverse order
-            for v in iv.members:
+            for v in iv:
                 for u in enumerate_involutions(m):
                     if bruhat_leq(pi, u) and bruhat_leq(u, v):
                         assert u in iv
@@ -315,13 +321,13 @@ def test_interval_monotone():
         for pi in invs:
             for rho in invs:
                 if bruhat_leq(rho, pi):
-                    assert interval(pi).members <= interval(rho).members
+                    assert interval(pi) <= interval(rho)
 
 
 def test_rank_extremes_in_interval():
     for m in (3, 4, 5):
         for pi in enumerate_involutions(m):
-            members = interval(pi).members
+            members = interval(pi)
             ranks = {v: rank(v) for v in members}
             assert ranks[w0(m)] == min(ranks.values()) == 0
             assert ranks[pi] == max(ranks.values())

@@ -15,7 +15,7 @@ from flagorbits.perms import (
     w0,
     w0_class,
 )
-from flagorbits.bruhat import Interval, bruhat_leq, interval, rank
+from flagorbits.bruhat import bruhat_leq, interval, rank
 from flagorbits.orbit_graph import (
     class_graph,
     conjugate_degrees,
@@ -160,7 +160,7 @@ def test_degree_bound():
     for m in (4, 5, 6):
         for pi in enumerate_involutions(m):
             iv = interval(pi)
-            for v in iv.members:
+            for v in iv:
                 assert degree_in(v, iv) <= len(neighbors(v).neighbors)
                 assert len(neighbors(v).neighbors) <= m * (m - 1) // 2
 
@@ -177,7 +177,7 @@ def test_export_dot():
 
 
 def test_export_dot_guard():
-    fake = Interval(base=(1,), m=1, members=frozenset({(k,) for k in range(5001)}))
+    fake = frozenset({(k,) for k in range(5001)})
     with pytest.raises(TooLarge):
         export_dot(fake)
 
@@ -302,8 +302,8 @@ def test_class_graph_guard_fires_before_work(monkeypatch):
 
 def oracle_dot(iv):
     """Oracle for export_dot: the DOT text from oracle_neighbors."""
-    nodes = sorted(iv.members)
-    pairs = {tuple(sorted((u, v))) for v in nodes for u in oracle_neighbors(v) & iv.members}
+    nodes = sorted(iv)
+    pairs = {tuple(sorted((u, v))) for v in nodes for u in oracle_neighbors(v) & iv}
     lines = ["graph interval {"] + [f'  "{format_perm(v)}";' for v in nodes]
     lines += [f'  "{format_perm(u)}" -- "{format_perm(v)}";' for u, v in sorted(pairs)]
     return "\n".join(lines + ["}"]) + "\n"

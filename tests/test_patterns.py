@@ -242,7 +242,6 @@ def test_hits_are_invariant_and_standardize():
                 values = tuple(pi[i - 1] for i in hit.indices)
                 order = {v: k for k, v in enumerate(sorted(values), start=1)}
                 assert tuple(order[v] for v in values) == spec.pattern
-                assert hit.induced == spec.pattern
 
 
 def test_fixed_between_counts_strictly_inside():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flagorbits.errors import MalformedInput, PositionOutOfRange, SizeMismatch
-from flagorbits.orbit_graph import row_keys
 from flagorbits.perms import (
     all_transpositions,
     compose,
@@ -20,6 +19,7 @@ from flagorbits.perms import (
     involution_rows,
     is_involution,
     parse_perm,
+    row_keys,
     transposition,
     two_cycles,
     validate_involution,

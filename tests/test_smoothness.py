@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import logging
 
@@ -15,6 +16,7 @@ from flagorbits.smoothness import (
     RATIONALLY_SINGULAR,
     RATIONALLY_SMOOTH,
     SWEEP_PHASES,
+    ClassificationReport,
     classify,
     report_record,
     report_text,
@@ -56,6 +58,29 @@ def test_classify_21435():
     assert rep.pattern_singular  # qualified 2143 at {1,2,3,4}
     oracle = [(spec, hits[0]) for spec in SPECS[:SINGULAR] if (hits := occurrences(rep.perm, spec))]
     assert rep.certificates == oracle
+
+
+def test_report_stores_five_facts():
+    names = [f.name for f in dataclasses.fields(ClassificationReport)]
+    assert names == ["perm", "rank", "w0_degree", "conjugates_pass", "mask"]
+
+
+def test_report_derived_fields_follow_their_rules():
+    for m in range(1, 9):
+        for rep in sweep(m).rows:
+            assert rep.m == m == len(rep.perm)
+            assert rep.codim == m * m // 4 - rep.rank
+            if m % 2:
+                assert rep.degree_verdict == NOT_APPLICABLE
+            elif rep.w0_degree == rep.rank:
+                assert rep.degree_verdict == RATIONALLY_SMOOTH
+            else:
+                assert rep.degree_verdict == RATIONALLY_SINGULAR
+            held = tuple(spec for k, spec in enumerate(SPECS[:SINGULAR]) if rep.mask >> k & 1)
+            assert rep.patterns == held
+            assert rep.pattern_singular == (rep.mask % (1 << SINGULAR) != 0)
+            assert rep.conjectured_rationally_smooth == (rep.mask % (1 << SINGULAR) == 0)
+            assert rep.conjectured_smooth == (rep.mask == 0)
 
 
 def test_sweep_m2():
