@@ -13,21 +13,17 @@ from .errors import (
     InInterval,
     MalformedInput,
     NotANeighbor,
-    NotInInterval,
     PositionOutOfRange,
     SizeMismatch,
     TooLarge,
 )
 from .perms import (
     Perm,
-    compose,
-    conjugate,
     enumerate_involutions,
     fixed_points,
     format_perm,
     identity,
     insert_fixed_point,
-    inverse,
     involution_count,
     is_involution,
     parse_perm,
@@ -35,11 +31,10 @@ from .perms import (
     w0,
     w0_class,
 )
-from .bruhat import bruhat_leq, codim, interval, max_rank, rank, ranks
+from .bruhat import bruhat_leq, interval, max_rank, rank, ranks
 from .orbit_graph import (
     NeighborSet,
     conjugate_degrees,
-    degree_in,
     export_dot,
     neighbors,
     w0_degree,
@@ -49,7 +44,6 @@ from .patterns import (
     SPECS,
     PatternHit,
     PatternSpec,
-    bad_patterns,
     occurrences,
     pattern_masks,
 )

@@ -185,12 +185,6 @@ def rank(pi: Perm) -> int:
     return int(ranks(np.array(pi, dtype=np.int64).reshape(1, len(pi)))[0])
 
 
-def codim(pi: Perm) -> int:
-    """Codimension of the orbit of pi: floor(m^2/4) - rank(pi).  A
-    non-involution raises MalformedInput."""
-    return max_rank(len(pi)) - rank(pi)
-
-
 def interval(pi: Perm) -> frozenset[Perm]:
     """I_pi: all involutions v with pi <= v, by filtering the enumeration."""
     guard_size(len(pi), "interval")

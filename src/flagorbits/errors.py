@@ -17,10 +17,6 @@ class PositionOutOfRange(FlagOrbitsError):
     """A 1-based position lies outside the allowed range."""
 
 
-class NotInInterval(FlagOrbitsError):
-    """The vertex is not a member of the given interval."""
-
-
 class TooLarge(FlagOrbitsError):
     """The request exceeds the desk-scale guard."""
 

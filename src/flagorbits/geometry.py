@@ -77,35 +77,6 @@ def variable_weight(v: Var, n: int) -> Weight:
     return tuple(w)
 
 
-def expected_weights(n: int) -> list[Weight]:
-    """The predicted multiset {2e_i} u {e_i+e_j} u {e_i-e_j}, sorted."""
-    out: list[Weight] = []
-
-    def vec(pairs: dict[int, int]) -> Weight:
-        w = [0] * n
-        for k, c in pairs.items():
-            w[k - 1] += c
-        return tuple(w)
-
-    for i in range(1, n + 1):
-        out.append(vec({i: 2}))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(vec({i: 1, j: 1}))
-            out.append(vec({i: 1, j: -1}))
-    return sorted(out)
-
-
-def attractiveness_check(n: int) -> bool:
-    """All n^2 weights distinct, as predicted, and strictly positive on the
-    functional k -> n+1-k (so they lie on one side of a hyperplane)."""
-    weights = sorted(variable_weight(v, n) for v in slice_vars(n))
-    if weights != expected_weights(n):
-        return False
-    lam = [n + 1 - k for k in range(1, n + 1)]
-    return all(sum(l * w for l, w in zip(lam, wt)) > 0 for wt in weights)
-
-
 @cache
 def _bottom_table(n: int) -> Mapping[Perm, Var]:
     """The neighbours of w0(2n) in lexicographic order, each mapped to its
@@ -138,14 +109,6 @@ def neighbor_variable(v: Perm, n: int) -> Var:
 # ---------------------------------------------------------------------------
 # Slice basis and Gram matrix
 # ---------------------------------------------------------------------------
-
-
-def standard_gram(m: int) -> tuple[tuple[int, ...], ...]:
-    """The form matrix: (e_i, e_j) = 1 iff i + j = m + 1."""
-    return tuple(
-        tuple(1 if i + j == m + 1 else 0 for j in range(1, m + 1))
-        for i in range(1, m + 1)
-    )
 
 
 def slice_basis(n: int) -> list[list[Poly]]:
@@ -185,76 +148,32 @@ def slice_gram(n: int) -> tuple[tuple[Poly, ...], ...]:
     return tuple(tuple(entry(i, j) for j in range(1, m + 1)) for i in range(1, m + 1))
 
 
-def gram_from_basis(n: int) -> list[list[Poly]]:
-    """Gram matrix computed directly as B J B^T; diagnostic cross-check."""
-    m = 2 * n
-    basis = slice_basis(n)
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            total = Poly()
-            for k in range(m):
-                # (e_k, e_{m+1-k}) = 1 is the only nonzero pairing
-                total = total + basis[i][k] * basis[j][m - 1 - k]
-            row.append(total)
-        out.append(row)
-    return out
-
-
-def gram_diagnostic(n: int) -> list[tuple[int, int, Poly]]:
-    """Entries where the case table and the bilinear products disagree."""
-    table = slice_gram(n)
-    prod = gram_from_basis(n)
-    out = []
-    for i in range(2 * n):
-        for j in range(2 * n):
-            diff = table[i][j] - prod[i][j]
-            if not diff.is_zero():
-                out.append((i + 1, j + 1, diff))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Minors and the slice ideal
 # ---------------------------------------------------------------------------
-
-
-def _require_excluded_neighbor(pi: Perm, v: Perm, n: int) -> tuple[int, int]:
-    if v not in _bottom_table(n):
-        raise NotANeighbor(f"{format_perm(v)} is not adjacent to the bottom vertex")
-    hit = prefix_violation(pi, v)
-    if hit is None:
-        raise InInterval(f"{format_perm(v)} lies in the interval of {format_perm(pi)}")
-    return hit
-
-
-def _minor_i(v: Perm, hit: tuple[int, int], n: int) -> Poly:
-    i, j = hit
-    prefix = v[:i]
-    v_sorted = sorted(prefix)
-    rows = [prefix.index(v_sorted[k]) + 1 for k in range(j)]
-    return determinant(slice_gram(n), rows, v_sorted[:j])
 
 
 def minor_condition_ii(pi: Perm, c: Perm, n: int) -> Poly:
     """Minor on the first i rows and columns c_1..c_i at the first prefix
     failure of pi <= c; its vanishing cuts the slice along c's direction.
     pi is taken unchecked, as `slice_ideal` accepts it."""
-    i, _ = _require_excluded_neighbor(pi, c, n)
+    if c not in _bottom_table(n):
+        raise NotANeighbor(f"{format_perm(c)} is not adjacent to the bottom vertex")
+    hit = prefix_violation(pi, c)
+    if hit is None:
+        raise InInterval(f"{format_perm(c)} lies in the interval of {format_perm(pi)}")
+    i, _ = hit
     return determinant(slice_gram(n), range(1, i + 1), sorted(c[:i]))
 
 
-def minor_condition_i(pi: Perm, v: Perm, n: int) -> Poly:
-    """The j x j minor on rows r_1..r_j (positions of the j smallest prefix
-    values of v) and columns v'_1..v'_j, at the first prefix failure.
-    pi is taken unchecked, as `slice_ideal` accepts it."""
-    return _minor_i(v, _require_excluded_neighbor(pi, v, n), n)
-
-
 def slice_ideal(pi: Perm, n: int) -> list[tuple[Perm, Poly]]:
-    """Defining minors of the slice, one per excluded bottom-vertex neighbor,
-    in lexicographic neighbor order; MalformedInput unless pi is an involution of S_2n."""
+    """Defining minors of the slice, one per excluded bottom-vertex neighbor v,
+    in lexicographic neighbor order; MalformedInput unless pi is an involution of S_2n.
+
+    At the first prefix failure (i, j) of pi <= v, the minor is the j x j one
+    on rows r_1..r_j (positions of the j smallest prefix values of v) and
+    columns v'_1..v'_j.
+    """
     pi = validate_involution(pi)
     m = 2 * n
     if len(pi) != m:
@@ -263,7 +182,10 @@ def slice_ideal(pi: Perm, n: int) -> list[tuple[Perm, Poly]]:
     for v in _bottom_table(n):
         hit = prefix_violation(pi, v)
         if hit is not None:
-            out.append((v, _minor_i(v, hit, n)))
+            i, j = hit
+            v_sorted = sorted(v[:i])
+            rows = [v.index(x) + 1 for x in v_sorted[:j]]
+            out.append((v, determinant(slice_gram(n), rows, v_sorted[:j])))
     return out
 
 
@@ -320,13 +242,6 @@ def parse_flag_file(text: str) -> FlagMatrix:
     if len(lines) != m + 1:
         raise MalformedInput(f"expected {m} rows, got {len(lines) - 1}")
     return flag_matrix([ln.split() for ln in lines[1:]])
-
-
-def format_flag_file(flag: FlagMatrix) -> str:
-    lines = [str(len(flag))]
-    for row in flag:
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 def orbit_of_flag(flag: Sequence[Sequence[Fraction | int | str]]) -> Perm:

@@ -6,10 +6,10 @@ with mu.  Degrees are counted over distinct vertices, not transpositions:
 t and its mirror can produce the same conjugate.
 
 `edge_rows` holds the edge rule, for an array of one-line rows at once;
-`edges` reads it for one involution, for `neighbors`, `degree_in` and
-`w0_degree`, and `export_dot` runs it once per interval.  `class_graph`
-builds the graph at the w0-class once per size for `conjugate_degrees` and
-`sweep`.  `conjugate_degrees` and `w0_degree` compare with `bruhat.above`.
+`edges` reads it for one involution, for `neighbors` and `w0_degree`, and
+`export_dot` runs it once per interval.  `class_graph` builds the graph at
+the w0-class once per size for `conjugate_degrees` and `sweep`.
+`conjugate_degrees` and `w0_degree` compare with `bruhat.above`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import NotInInterval, TooLarge
+from .errors import TooLarge
 from .perms import Perm, Transposition, all_transpositions, format_perm, guard_size
 from .perms import row_keys, validate_involution, w0, w0_class_rows
 from .bruhat import above
@@ -55,13 +55,6 @@ def neighbors(mu: Perm) -> NeighborSet:
     """All distinct vertices adjacent to mu; a non-involution raises MalformedInput."""
     mu = validate_involution(mu)
     return NeighborSet(center=mu, neighbors=frozenset(nu for _, nu in edges(mu)))
-
-
-def degree_in(v: Perm, iv: frozenset[Perm]) -> int:
-    """Number of neighbors of v lying in the interval iv."""
-    if v not in iv:
-        raise NotInInterval(f"{format_perm(v)} not in the interval")
-    return len(neighbors(v).neighbors & iv)
 
 
 def edge_rows(rows: np.ndarray) -> np.ndarray:

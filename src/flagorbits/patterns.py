@@ -69,11 +69,6 @@ QUALIFIED_BIT = 1 << SPECS.index(QUALIFIED_2143)
 _OWN_BIT = {spec.pattern: 1 << k for k, spec in enumerate(SPECS) if not spec.qualifier}
 
 
-def bad_patterns() -> list[PatternSpec]:
-    """The 24 unqualified singularity-forcing patterns."""
-    return list(BAD_PATTERNS)
-
-
 def standardize(values: tuple[int, ...]) -> Perm:
     """Relabel values by their sorted order to 1..r."""
     order = {v: k for k, v in enumerate(sorted(values), start=1)}

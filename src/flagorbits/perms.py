@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import MalformedInput, PositionOutOfRange, SizeMismatch, TooLarge
+from .errors import MalformedInput, PositionOutOfRange, TooLarge
 
 Perm = tuple[int, ...]
 # A transposition is an ordered pair (a, b) of positions with a < b.
@@ -82,43 +82,9 @@ def w0(m: int) -> Perm:
     return tuple(range(m, 0, -1))
 
 
-def inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p, start=1):
-        out[v - 1] = i
-    return tuple(out)
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p o q)(i) = p(q(i))."""
-    if len(p) != len(q):
-        raise SizeMismatch(f"sizes {len(p)} and {len(q)}")
-    return tuple(p[v - 1] for v in q)
-
-
 def is_involution(p: Perm) -> bool:
     """p(p(i)) = i for every i; False for entries outside 1..m."""
     return all(0 < v <= len(p) and p[v - 1] == i for i, v in enumerate(p, start=1))
-
-
-def transposition(a: int, b: int, m: int) -> Perm:
-    """The transposition (a b) as an element of S_m."""
-    if not (1 <= a < b <= m):
-        raise PositionOutOfRange(f"need 1 <= a < b <= {m}, got ({a}, {b})")
-    out = list(range(1, m + 1))
-    out[a - 1], out[b - 1] = b, a
-    return tuple(out)
-
-
-def conjugate(mu: Perm, t: Transposition) -> Perm:
-    """t mu t for a transposition t = (a, b); always an involution when mu is."""
-    a, b = t
-    m = len(mu)
-    if not (1 <= a < b <= m):
-        raise SizeMismatch(f"transposition ({a}, {b}) does not fit size {m}")
-    lst = list(mu)
-    lst[a - 1], lst[b - 1] = lst[b - 1], lst[a - 1]
-    return tuple(b if v == a else a if v == b else v for v in lst)
 
 
 def fixed_points(pi: Perm) -> tuple[int, ...]:
@@ -149,22 +115,6 @@ def insert_fixed_point(pi: Perm, pos: int) -> Perm:
         else:
             v = pi[(i if i < pos else i - 1) - 1]
             out.append(v if v < pos else v + 1)
-    return tuple(out)
-
-
-def delete_position(sigma: Perm, pos: int) -> Perm:
-    """Remove the fixed point at pos; inverse of insert_fixed_point."""
-    m = len(sigma)
-    if not (1 <= pos <= m):
-        raise PositionOutOfRange(f"need 1 <= pos <= {m}, got {pos}")
-    if sigma[pos - 1] != pos:
-        raise MalformedInput(f"position {pos} is not fixed by {sigma}")
-    out = []
-    for i in range(1, m + 1):
-        if i == pos:
-            continue
-        v = sigma[i - 1]
-        out.append(v if v < pos else v - 1)
     return tuple(out)
 
 

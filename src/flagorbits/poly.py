@@ -34,9 +34,6 @@ class Poly:
     def var(cls, v: Var, coeff: int = 1) -> "Poly":
         return cls({((v, 1),): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -160,7 +157,7 @@ def _expand(
     total = Poly()
     for k, c in enumerate(cs):
         entry = matrix[r - 1][c - 1]
-        if entry.is_zero():
+        if not entry:
             continue
         term = entry * _expand(matrix, rows, cs[:k] + cs[k + 1 :], memo)
         total = total + (term if k % 2 == 0 else -term)

@@ -29,12 +29,12 @@ from .perms import (
 from .bruhat import MASK_CHUNK_BYTES, below_masks, max_rank, rank, ranks, threshold_bits
 from .orbit_graph import class_graph, conjugate_degrees, w0_degree
 from .patterns import (
+    BAD_PATTERNS,
     PATTERN_2143,
     SINGULAR,
     SPECS,
     PatternHit,
     PatternSpec,
-    bad_patterns,
     occurrences,
     pattern_masks,
 )
@@ -242,26 +242,17 @@ class CaseResult:
     witnesses: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CaseChecklist:
-    results: list[CaseResult]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-
 def _conjugate_excess(degrees: dict[Perm, int], r: int) -> list[tuple[Perm, int]]:
     return sorted((c, d) for c, d in degrees.items() if d > r)
 
 
-def verify_known_cases() -> CaseChecklist:
+def verify_known_cases() -> list[CaseResult]:
     """Run the regression checks that pin down the known boundary cases.
 
     Failures are returned as data, never raised.
     """
     results: list[CaseResult] = []
-    patterns = [spec.pattern for spec in bad_patterns()]
+    patterns = [spec.pattern for spec in BAD_PATTERNS]
     exceptions = DEGREE_EXCEPTION_INSERTIONS
     inserts = [
         (p, pos, insert_fixed_point(p, pos))
@@ -342,7 +333,7 @@ def verify_known_cases() -> CaseChecklist:
             + tuple(f"{format_perm(c)}:deg={d}" for c, d in excess),
         )
     )
-    return CaseChecklist(results)
+    return results
 
 
 # ---------------------------------------------------------------------------

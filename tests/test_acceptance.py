@@ -13,6 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
+from definitions import attractiveness_check, expected_weights
 from flagorbits.perms import (
     enumerate_involutions,
     format_perm,
@@ -23,8 +24,6 @@ from flagorbits.perms import (
 from flagorbits.bruhat import bruhat_leq, interval, max_rank, rank
 from flagorbits.orbit_graph import neighbors, w0_degree
 from flagorbits.geometry import (
-    attractiveness_check,
-    expected_weights,
     flag_matrix,
     monomial_claim,
     neighbor_variable,
@@ -50,11 +49,11 @@ def _report(num: int, label: str) -> None:
 
 def test_criterion_1_case_regression():
     start = time.perf_counter()
-    checklist = verify_known_cases()
+    results = verify_known_cases()
     elapsed = time.perf_counter() - start
-    failures = [(r.item, r.label) for r in checklist.results if not r.passed]
-    assert checklist.all_passed, failures
-    assert {r.item for r in checklist.results} == {"a", "b", "c", "d", "e"}
+    failures = [(r.item, r.label) for r in results if not r.passed]
+    assert not failures, failures
+    assert {r.item for r in results} == {"a", "b", "c", "d", "e"}
     assert elapsed < 120, f"case regression took {elapsed:.1f}s"
     _report(1, "case regression")
 
@@ -161,7 +160,7 @@ def test_criterion_5_slice_verification():
             for j in range(m):
                 assert g[i][j] == g[j][i]
                 if i + j + 2 > m + 1:
-                    assert g[i][j].is_zero()
+                    assert not g[i][j]
                 if i + j + 2 == m + 1:
                     assert g[i][j] == Poly.const(1)
         weights = sorted(variable_weight(v, n) for v in slice_vars(n))

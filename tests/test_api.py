@@ -1,0 +1,121 @@
+"""The package's public surface: its exports, the names the benchmark reads,
+and imports that every module uses."""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import flagorbits
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+PACKAGE = Path(flagorbits.__file__).resolve().parent
+
+PUBLIC_API = [
+    "DegenerateFlag",
+    "EVEN_FIXED_BETWEEN",
+    "FlagOrbitsError",
+    "InInterval",
+    "MalformedInput",
+    "NeighborSet",
+    "NotANeighbor",
+    "PatternHit",
+    "PatternSpec",
+    "Perm",
+    "PositionOutOfRange",
+    "SPECS",
+    "SizeMismatch",
+    "TooLarge",
+    "bruhat",
+    "bruhat_leq",
+    "conjugate_degrees",
+    "enumerate_involutions",
+    "errors",
+    "export_dot",
+    "fixed_points",
+    "format_perm",
+    "identity",
+    "insert_fixed_point",
+    "interval",
+    "involution_count",
+    "is_involution",
+    "max_rank",
+    "neighbors",
+    "occurrences",
+    "orbit_graph",
+    "parse_perm",
+    "pattern_masks",
+    "patterns",
+    "perms",
+    "rank",
+    "ranks",
+    "two_cycles",
+    "w0",
+    "w0_class",
+    "w0_degree",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(flagorbits.__all__) == PUBLIC_API
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    # bench/run.py imports its sibling modules, as bench/test_bench.py arranges
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("run")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_bench_entry_points_resolve(bench_run):
+    for layer, names in bench_run.Api.ENTRY_POINTS.items():
+        mod = importlib.import_module(f"flagorbits.{layer}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"flagorbits.{layer}.{name}"
+
+
+def test_names_the_bench_tests_and_tracer_read():
+    from flagorbits import enumerate_involutions, orbit_graph, patterns, perms, poly
+    from flagorbits import rank, w0_class, w0_degree
+
+    assert orbit_graph.bruhat_leq((1, 2), (2, 1))
+    assert orbit_graph.neighbors(perms.w0(4)).neighbors == {
+        (3, 4, 1, 2), (2, 1, 4, 3), (4, 2, 3, 1), (1, 3, 2, 4)
+    }
+    assert enumerate_involutions(3) == [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
+    assert w0_class(4) == [(2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
+    assert (rank((2, 1, 4, 3)), w0_degree((2, 1, 4, 3))) == (2, 3)
+    assert perms.parse_perm("2143") == patterns.parse_perm("2143") == (2, 1, 4, 3)
+    one = poly.Poly.const(1)
+    assert poly.determinant([[one]], [1], [1]) == one
+
+
+def _unused_imports(path: Path) -> list[str]:
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_import_is_used():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [u for path in modules for u in _unused_imports(path)] == []

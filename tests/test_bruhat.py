@@ -17,7 +17,6 @@ from flagorbits.bruhat import (
     above,
     below_masks,
     bruhat_leq,
-    codim,
     dominance_table,
     essential_entries,
     interval,
@@ -204,9 +203,9 @@ def test_rank_values():
     assert rank((3, 4, 1, 2)) == 1
     assert rank((2, 1, 4, 3)) == 2
     assert rank((1, 3, 2, 4)) == 3
-    # past int8: rank takes any size, as codim does
-    assert rank(w0(200)) == codim(identity(200)) == 0
-    assert rank(identity(200)) == codim(w0(200)) == max_rank(200) == 10000
+    # past int8: rank takes any size
+    assert rank(w0(200)) == 0
+    assert rank(identity(200)) == max_rank(200) == 10000
 
 
 def _rank_oracle(pi):
@@ -252,16 +251,6 @@ def test_ranks_edge_shapes(monkeypatch):
     assert ranks(rows).tolist() == want.tolist()
     for row, r in zip(rows, want.tolist()):
         assert rank(tuple(row.tolist())) == ranks(row[None])[0] == r
-
-
-def test_codim():
-    assert codim(w0(4)) == 4
-    assert codim(w0(6)) == 9
-    assert codim(identity(5)) == 0
-    assert codim((3, 4, 1, 2)) == 3
-    for bad in ((3, 1, 2), (1, 1)):
-        with pytest.raises(MalformedInput):
-            codim(bad)
 
 
 def test_rank_rejects_non_involutions():

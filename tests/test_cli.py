@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from definitions import format_flag_file
 from flagorbits.cli import main
-from flagorbits.geometry import format_flag_file, specialize_basis
+from flagorbits.geometry import specialize_basis
 
 
 def run(capsys, *argv):
@@ -110,9 +111,9 @@ def test_verify_cases(capsys):
 
 def test_verify_cases_failure_exits_1(capsys, monkeypatch):
     import flagorbits.cli as cli
-    from flagorbits.smoothness import CaseChecklist, CaseResult
+    from flagorbits.smoothness import CaseResult
 
-    failing = CaseChecklist([CaseResult("e", "stubbed check", False)])
+    failing = [CaseResult("e", "stubbed check", False)]
     monkeypatch.setattr(cli, "verify_known_cases", lambda: failing)
     code, out, _ = run(capsys, "verify-cases")
     assert code == 1

@@ -14,6 +14,7 @@ from flagorbits.perms import (
     parse_perm,
 )
 from flagorbits.patterns import (
+    BAD_PATTERNS,
     EVEN_FIXED_BETWEEN,
     PATTERN_1324,
     PATTERN_2143,
@@ -22,7 +23,6 @@ from flagorbits.patterns import (
     SPECS,
     PatternSpec,
     _level_masks,
-    bad_patterns,
     occurrences,
     pattern_masks,
     qualified_2143,
@@ -52,7 +52,7 @@ def test_contains_examples():
 
 
 def test_bad_patterns_list():
-    specs = bad_patterns()
+    specs = BAD_PATTERNS
     assert len(specs) == 24
     assert specs[10].pattern == parse_perm("2137654")
     assert specs[0].pattern == parse_perm("14325")
@@ -62,14 +62,8 @@ def test_bad_patterns_list():
         assert spec.qualifier is None
 
 
-def test_bad_patterns_returns_a_copy():
-    specs = bad_patterns()
-    specs.clear()
-    assert len(bad_patterns()) == 24
-
-
 def test_specs_layout():
-    assert SPECS[:24] == tuple(bad_patterns())
+    assert SPECS[:24] == BAD_PATTERNS
     assert SPECS[24:] == (QUALIFIED_2143, PatternSpec(PATTERN_2143), PatternSpec(PATTERN_1324))
 
 
@@ -232,7 +226,7 @@ def test_hits_are_invariant_and_standardize():
         parse_perm("4321576"),
     ]
     specs = [QUALIFIED_2143, PatternSpec(PATTERN_2143), PatternSpec(PATTERN_1324)]
-    specs += bad_patterns()[:8]
+    specs += BAD_PATTERNS[:8]
     for pi in sample:
         for spec in specs:
             if len(spec.pattern) > len(pi):

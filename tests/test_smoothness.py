@@ -268,10 +268,10 @@ def test_classify_rejects_non_involutions():
 
 
 def test_verify_known_cases_all_pass():
-    checklist = verify_known_cases()
-    failures = [r for r in checklist.results if not r.passed]
-    assert checklist.all_passed, failures
-    items = {r.item for r in checklist.results}
+    results = verify_known_cases()
+    failures = [r for r in results if not r.passed]
+    assert not failures, failures
+    items = {r.item for r in results}
     assert items == {"a", "b", "c", "d", "e"}
 
 
