@@ -48,5 +48,5 @@ from .patterns import (
     pattern_masks,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and type(globals()[n]) is not type(perms)]
 __version__ = "0.1.0"

@@ -6,8 +6,8 @@ with mu.  Degrees are counted over distinct vertices, not transpositions:
 t and its mirror can produce the same conjugate.
 
 `edge_rows` holds the edge rule, for an array of one-line rows at once;
-`edges` reads it for one involution, for `neighbors` and `w0_degree`, and
-`export_dot` runs it once per interval.  `class_graph` builds the graph at
+`edges` reads it for one involution, `w0_neighbors` once per size on w0's
+row, and `export_dot` once per interval.  `class_graph` builds the graph at
 the w0-class once per size for `conjugate_degrees` and `sweep`.
 `conjugate_degrees` and `w0_degree` compare with `bruhat.above`.
 """
@@ -146,19 +146,21 @@ def conjugate_degrees(pi: Perm) -> dict[Perm, int]:
 
 
 @cache
-def _w0_neighbors(m: int) -> np.ndarray:
-    """The distinct neighbours of w0(m), sorted, as a read-only (N, m) int8 array."""
-    rows = np.array(sorted(neighbors(w0(m)).neighbors), dtype=np.int8).reshape(-1, m)
+def w0_neighbors(m: int) -> np.ndarray:
+    """The distinct neighbours of w0(m), sorted, as a read-only (N, m) int8 array
+    for `w0_degree` and `sweep`: the distinct `edge_rows` of w0, less w0 itself."""
+    nbrs = set(map(tuple, edge_rows(np.array([w0(m)], dtype=np.int8))[0].tolist())) - {w0(m)}
+    rows = np.array(sorted(nbrs), dtype=np.int8).reshape(-1, m)
     rows.flags.writeable = False
     return rows
 
 
 def w0_degree(pi: Perm) -> int:
-    """Degree of the bottom vertex w0 in I_pi: the number of distinct
-    neighbours of w0 above pi, by `above`.  m > SIZE_GUARD raises TooLarge."""
+    """Degree of the bottom vertex w0 in I_pi: the number of `w0_neighbors`
+    above pi, by `above`.  m > SIZE_GUARD raises TooLarge."""
     guard_size(len(pi), "w0 degree")
     pi = validate_involution(pi)
-    return int(above(pi, _w0_neighbors(len(pi))).sum())
+    return int(above(pi, w0_neighbors(len(pi))).sum())
 
 
 def export_dot(iv: frozenset[Perm]) -> str:

@@ -24,10 +24,9 @@ from .perms import (
     involution_rows,
     parse_perm,
     validate_involution,
-    w0,
 )
 from .bruhat import MASK_CHUNK_BYTES, below_masks, max_rank, rank, ranks, threshold_bits
-from .orbit_graph import class_graph, conjugate_degrees, w0_degree
+from .orbit_graph import class_graph, conjugate_degrees, w0_degree, w0_neighbors
 from .patterns import (
     BAD_PATTERNS,
     PATTERN_2143,
@@ -121,9 +120,8 @@ class SweepReport:
     counts: dict[str, int]
     elapsed: float
     phases: dict[str, float]  # seconds per SWEEP_PHASES entry
-    # masks: packed <=-masks built (one per w0-class member and neighbour);
-    # mask_bytes: peak bytes of them held at once; mask_entries: essential
-    # table entries they compared.
+    # masks: packed <=-masks built, one per vertex (`sweep`); mask_bytes: peak bytes of them
+    # held at once; mask_entries: essential entries they compared; candidates: deg_w0 == rank rows.
     counters: dict[str, int]
 
 
@@ -135,23 +133,23 @@ def _specs(mask: int) -> tuple[PatternSpec, ...]:
 
 def classify(pi: Perm) -> ClassificationReport:
     """Full report for a single involution; the same value as its `sweep` row.
-    The degree of every w0-conjugate is `conjugate_degrees(pi)`."""
+    w0 is a w0-conjugate above pi: `conjugate_degrees` runs only if deg_w0 == rank."""
     guard_size(len(pi), "classify")
     pi = validate_involution(pi)
-    r = rank(pi)
-    cd = conjugate_degrees(pi)  # w0 lies above every pi
-    mask = int(pattern_masks(np.array([pi], dtype=np.int8))[0])
-    return ClassificationReport(pi, r, cd[w0(len(pi))], all(d == r for d in cd.values()), mask)
+    row = np.array([pi], dtype=np.int8)
+    r, deg = int(ranks(row)[0]), w0_degree(pi)
+    passes = deg == r and all(d == r for d in conjugate_degrees(pi).values())
+    return ClassificationReport(pi, r, deg, passes, int(pattern_masks(row)[0]))
 
 
 def sweep(m: int) -> SweepReport:
     """Classify every involution of S_m; deterministic lexicographic rows.
 
-    Degree data comes from one bit-packed <=-mask per vertex of the
-    `class_graph` (`bruhat.below_masks`).  The class masks are kept; the
-    masks of its `outer` rows are built per chunk of members and dropped
-    after it.  Pattern containment comes from one orbit-deletion
-    pass over the rows, reading the cached tables of the sizes below m.
+    Degrees come from bit-packed <=-masks (`bruhat.below_masks`): deg_w0 of
+    every row from those of the `w0_neighbors`; the all-conjugates test, which
+    w0 fails unless deg_w0 == rank, from one per `class_graph` vertex on those
+    candidate rows only, its `outer` rows' per chunk of members.  Patterns
+    come from one orbit-deletion pass, reading the tables of smaller sizes.
     """
     if m < 1:
         raise MalformedInput(f"sweep needs m >= 1, got {m}")
@@ -162,13 +160,19 @@ def sweep(m: int) -> SweepReport:
     invs = [tuple(row.tolist()) for row in inv_rows]
     stamps.append(time.perf_counter())
     bits = threshold_bits(inv_rows)
-    rank_col = np.zeros(64 * bits.shape[2], dtype=np.int32)  # one per mask bit
-    rank_col[: len(invs)] = ranks(inv_rows)
+    rank_col = ranks(inv_rows)
     stamps.append(time.perf_counter())
 
+    w0_masks, compared = below_masks(bits, w0_neighbors(m))
+    built, held = len(w0_masks), w0_masks.nbytes
+    deg_w0 = np.unpackbits(w0_masks.view(np.uint8), axis=1)[:, : len(invs)].sum(axis=0)
+    del bits, w0_masks  # the candidates' bits replace them
+    cand = np.flatnonzero(deg_w0 == rank_col)
+    bits = threshold_bits(inv_rows[cand])
+    cand_rank = np.pad(rank_col[cand], (0, -len(cand) % 64))  # one per mask bit
     cls_rows, inner, outer = class_graph(m)
-    cls_masks, compared = below_masks(bits, cls_rows)
-    built, held = len(cls_rows), cls_masks.nbytes
+    cls_masks, n = below_masks(bits, cls_rows)
+    built, compared = built + len(cls_rows), compared + n
     h = outer.shape[1]
     # A chunk's outer masks, h per member, stay within MASK_CHUNK_BYTES.
     step = max(1, MASK_CHUNK_BYTES // (max(1, h) * cls_masks[:1].nbytes))
@@ -180,23 +184,22 @@ def sweep(m: int) -> SweepReport:
         built, compared = built + len(new), compared + n
         held = max(held, cls_masks.nbytes + new.nbytes)
         for k, mask in enumerate(cls_masks[s : s + step]):
-            # A failed row stays failed: only w0, the last member, counts every row.
-            live = mask if s + k == len(cls_rows) - 1 else mask & conj_ok
-            words = np.flatnonzero(live)  # those holding some live involution <= the member
+            live = mask & conj_ok  # a failed row stays failed
+            words = np.flatnonzero(live)  # those holding some live candidate <= the member
             nbr_masks = np.concatenate((cls_masks[inner[s + k]], new[k * h : (k + 1) * h]))
             nbr_masks = np.take(nbr_masks, words, axis=1).view(np.uint8)
             deg_c = np.unpackbits(nbr_masks, axis=1).sum(axis=0, dtype=np.uint8)
-            viol = np.packbits(deg_c != rank_col.reshape(-1, 64)[words].ravel()).view(np.uint64)
+            viol = np.packbits(deg_c != cand_rank.reshape(-1, 64)[words].ravel()).view(np.uint64)
             conj_ok[words] &= ~(viol & live[words])
         log.info("sweep m=%d: %d of %d class members, %d masks", m, s + k + 1, len(cls_rows), built)
-    deg_w0 = deg_c  # w0, the last member, lies above every row: its words are all words
-    passes = np.unpackbits(conj_ok.view(np.uint8))
+    passes = np.zeros(len(invs), dtype=bool)
+    passes[cand] = np.unpackbits(conj_ok.view(np.uint8))[: len(cand)]
     stamps.append(time.perf_counter())
     pattern_bits = pattern_masks(inv_rows)
     stamps.append(time.perf_counter())
 
-    cols = (rank_col, deg_w0, passes.astype(bool), pattern_bits)
-    rows = list(map(ClassificationReport, invs, *(c[: len(invs)].tolist() for c in cols)))
+    cols = (rank_col, deg_w0, passes, pattern_bits)
+    rows = list(map(ClassificationReport, invs, *(c.tolist() for c in cols)))
     smooth = [row for row in rows if row.degree_verdict == RATIONALLY_SMOOTH]
     singular = [row for row in rows if row.degree_verdict == RATIONALLY_SINGULAR]
     counts = {RATIONALLY_SMOOTH: len(smooth), RATIONALLY_SINGULAR: len(singular)}
@@ -212,7 +215,7 @@ def sweep(m: int) -> SweepReport:
         counts=counts,
         elapsed=stamps[-1] - stamps[0],
         phases={name: b - a for name, a, b in zip(SWEEP_PHASES, stamps, stamps[1:])},
-        counters={"masks": built, "mask_bytes": held, "mask_entries": compared},
+        counters=dict(masks=built, mask_bytes=held, mask_entries=compared, candidates=len(cand)),
     )
 
 

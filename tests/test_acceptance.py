@@ -254,7 +254,8 @@ def test_criterion_8_performance_m10():
     rep = sweep(10)
     assert len(rep.rows) == 9496
     assert rep.elapsed < 20, f"m=10 sweep took {rep.elapsed:.0f}s"
-    assert rep.counters["masks"] == 5670  # w0-class members and their neighbours
+    # w0's 25 neighbours, then the 945 w0-class members and their 945 * 5 outside neighbours
+    assert rep.counters["masks"] == 25 + 945 + 945 * 5
     text = "\n".join(sweep_records(rep)) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_10_SHA256
     _report(8, "m=10 performance and golden records hash")

@@ -28,11 +28,9 @@ PUBLIC_API = [
     "SPECS",
     "SizeMismatch",
     "TooLarge",
-    "bruhat",
     "bruhat_leq",
     "conjugate_degrees",
     "enumerate_involutions",
-    "errors",
     "export_dot",
     "fixed_points",
     "format_perm",
@@ -44,11 +42,8 @@ PUBLIC_API = [
     "max_rank",
     "neighbors",
     "occurrences",
-    "orbit_graph",
     "parse_perm",
     "pattern_masks",
-    "patterns",
-    "perms",
     "rank",
     "ranks",
     "two_cycles",

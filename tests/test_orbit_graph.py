@@ -178,11 +178,17 @@ def test_export_dot_guard():
 
 
 def test_conjugate_degrees_match_scalar_oracle():
+    # classify's w0 degree and all-conjugates decision also follow the oracle
+    # map alone, where w0 is one of the conjugates
     for m in range(1, 9):
         for pi in enumerate_involutions(m):
             cd = conjugate_degrees(pi)
-            assert cd == scalar_conjugate_degrees(pi), pi
+            oracle = scalar_conjugate_degrees(pi)
+            assert cd == oracle, pi
             assert list(cd) == sorted(cd)  # classify reads its witness in this order
+            rep, r = classify(pi), rank(pi)
+            assert rep.w0_degree == oracle[w0(m)] == scalar_w0_degree(pi), pi
+            assert rep.conjugates_pass == all(d == r for d in oracle.values()), pi
 
 
 @st.composite

@@ -5,9 +5,9 @@ import logging
 import numpy as np
 import pytest
 
-from flagorbits.bruhat import essential_entries
+from flagorbits.bruhat import essential_entries, rank
 from flagorbits.errors import MalformedInput, TooLarge
-from flagorbits.orbit_graph import conjugate_degrees
+from flagorbits.orbit_graph import class_graph, conjugate_degrees, neighbors, w0_degree
 from flagorbits.patterns import SINGULAR, SPECS, occurrences, pattern_masks
 from flagorbits.perms import enumerate_involutions, format_perm, identity, parse_perm
 from flagorbits.perms import involution_rows, w0, w0_class
@@ -102,7 +102,8 @@ def test_sweep_m4():
 
 def test_sweep_conjugates_pass_matches_classify():
     # a sweep row is the classify report of its involution, field for field;
-    # at m <= 3 w0's all-ones mask and the zero-padded ranks decide the rows
+    # at m <= 3 the candidates fill less than one mask word, and w0's mask,
+    # with no essential entry, is all ones past them: the sweep drops those bits
     for m in range(1, 9):
         rows = sweep(m).rows
         full = [classify(p) for p in enumerate_involutions(m)]
@@ -201,27 +202,43 @@ def test_sweep_phases():
 
 def test_sweep_counters():
     rep = sweep(9)
-    # one mask per w0-class member and neighbour: the 945 members of S_9
-    # (odd m: conjugation keeps the cycle type, so no neighbour leaves the class),
-    # each 2620 bits packed into 41 64-bit words, all held at once
-    entries = int(essential_entries(np.array(w0_class(9), dtype=np.int8)).sum())
-    assert rep.counters == {"masks": 945, "mask_bytes": 945 * 41 * 8, "mask_entries": entries}
+    # first one mask per distinct neighbour of w0, (81 - 1) / 4 = 20 of them,
+    # over all 2620 rows (41 64-bit words); they are dropped before the class
+    # masks: one per member, 945 of them (odd m: conjugation keeps the cycle
+    # type, so no neighbour leaves the class), each over the 670 candidates
+    # with deg_w0 == rank (11 words), all held at once
+    invs = enumerate_involutions(9)
+    assert sum(w0_degree(p) == rank(p) for p in invs) == 670
+    vertices = sorted(neighbors(w0(9)).neighbors) + w0_class(9)
+    entries = int(essential_entries(np.array(vertices, dtype=np.int8)).sum())
+    assert rep.counters == {
+        "masks": 20 + 945,
+        "mask_bytes": max(20 * 41, 945 * 11) * 8,
+        "mask_entries": entries,
+        "candidates": 670,
+    }
     lines = sweep_text(rep).splitlines()
-    assert lines[-3:] == [
-        "# counter masks 945",
-        f"# counter mask_bytes {945 * 328}",
+    assert lines[-4:] == [
+        "# counter masks 965",
+        f"# counter mask_bytes {945 * 88}",
         f"# counter mask_entries {entries}",
+        "# counter candidates 670",
     ]
-    assert lines[-4].startswith("# phase assemble ")
-    # even m: the neighbours outside the class are built once each, per chunk
-    assert sweep(10).counters["masks"] == 5670
+    assert lines[-5].startswith("# phase assemble ")
+    # even m: masks are N_w0 + C + C*H, the neighbours outside the class built
+    # once each, per chunk: (10/2)^2 + 945 + 945 * 5; the candidates are the
+    # rationally smooth rows
+    rep = sweep(10)
+    assert rep.counters["masks"] == 25 + 945 + 945 * 5 == 5695
+    assert rep.counters["candidates"] == rep.counts[RATIONALLY_SMOOTH] == 1030
 
 
 def test_sweep_logs_progress_per_chunk(caplog):
     with caplog.at_level(logging.INFO, logger="flagorbits.smoothness"):
         sweep(6)
     lines = [r.getMessage() for r in caplog.records if r.name == "flagorbits.smoothness"]
-    assert lines == ["sweep m=6: 15 of 15 class members, 60 masks"]
+    # (6/2)^2 = 9 masks for w0's neighbours, then 15 members and 15 * 3 outside
+    assert lines == ["sweep m=6: 15 of 15 class members, 69 masks"]
 
 
 def test_degree_paths_make_no_scalar_calls(monkeypatch):
@@ -253,12 +270,33 @@ def test_classify_guard_fires_before_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("classify started work")
 
-    for name in ("rank", "conjugate_degrees", "pattern_masks"):
+    for name in ("ranks", "w0_degree", "conjugate_degrees", "pattern_masks"):
         monkeypatch.setattr(sm, name, no_work)
     with pytest.raises(TooLarge):
         classify(identity(13))
     with pytest.raises(AssertionError):
         classify(identity(12))  # the guard admits m = 12
+
+
+def test_classify_reads_conjugates_only_where_w0_degree_is_rank(monkeypatch):
+    # w0 is a w0-conjugate above every pi, so deg_w0 != rank already fails
+    import flagorbits.smoothness as sm
+
+    def no_conjugates(pi):
+        raise AssertionError("classify read the conjugate degrees")
+
+    monkeypatch.setattr(sm, "conjugate_degrees", no_conjugates)
+    rep = classify((2, 1, 4, 3))
+    assert (rep.w0_degree, rep.rank, rep.conjugates_pass) == (3, 2, False)
+    with pytest.raises(AssertionError):
+        classify((3, 4, 1, 2))  # deg_w0 == rank == 1: the conjugates decide
+
+
+def test_failing_classify_builds_no_class_graph():
+    class_graph.cache_clear()
+    rep = classify((2, 1, 4, 3) + tuple(range(5, 13)))
+    assert rep.w0_degree != rep.rank and not rep.conjugates_pass
+    assert class_graph.cache_info().currsize == 0
 
 
 def test_classify_rejects_non_involutions():
