@@ -114,8 +114,11 @@ def threshold_bits(rows: np.ndarray) -> np.ndarray:
     can take.  Row k is bit k of the uint8 view in np.packbits order, so
     `np.unpackbits` of that view lists the rows in order; bits past K are 0."""
     m = rows.shape[1]
-    bits = np.packbits(dominance_table(rows)[:, None] >= np.arange(m)[:, None], axis=2)
-    return np.pad(bits, ((0, 0), (0, 0), (0, -bits.shape[2] % 8))).view(np.uint64)
+    table = dominance_table(rows)
+    bits = np.zeros((len(table), m, -(-len(rows) // 64) * 8), dtype=np.uint8)
+    for t in range(m):  # one (entries, K) comparison at a time, not (entries, m, K)
+        bits[:, t, : -(-len(rows) // 8)] = np.packbits(table >= t, axis=1)
+    return bits.view(np.uint64)
 
 
 def essential_entries(rows: np.ndarray) -> np.ndarray:

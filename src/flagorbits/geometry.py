@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from .errors import DegenerateFlag, InInterval, MalformedInput, NotANeighbor, TooLarge
 from .perms import Perm, format_perm, guard_size, validate_involution, w0
 from .bruhat import prefix_violation
-from .orbit_graph import edges
+from .orbit_graph import w0_neighbors
 from .poly import Poly, Var, determinant
 
 FlagMatrix = tuple[tuple[Fraction, ...], ...]
@@ -79,19 +79,22 @@ def variable_weight(v: Var, n: int) -> Weight:
 
 @cache
 def _bottom_table(n: int) -> Mapping[Perm, Var]:
-    """The neighbours of w0(2n) in lexicographic order, each mapped to its
-    canonical slice variable: one pass over edges(w0(2n)), once per n.
-
-    Every minor path reads this table first, so it holds the slice guard.
+    """The rows of `w0_neighbors(2n)`, in their lexicographic order, each mapped
+    to its canonical slice variable, once per n.  A row u is t w0 t or t w0 for
+    t = (a, b): a is the first position where u differs from w0, b = m + 1 - u(a),
+    and t is mirrored where b <= n leaves it no slice index.  Every minor path
+    reads this table first, so it holds the slice guard.
     """
     m = 2 * n
     guard_size(m, "slice")
     table: dict[Perm, Var] = {}
-    for (a, b), u in edges(w0(m)):
-        if b <= n:  # no slice index; its mirror names the same variable
+    for u in map(tuple, w0_neighbors(m).tolist()):
+        a = next(i for i, x in enumerate(u, start=1) if x != m + 1 - i)
+        b = m + 1 - u[a - 1]
+        if b <= n:
             a, b = m + 1 - b, m + 1 - a
-        table.setdefault(u, canonical_var(a, b, n))
-    return MappingProxyType(dict(sorted(table.items())))
+        table[u] = canonical_var(a, b, n)
+    return MappingProxyType(table)
 
 
 def neighbor_variable(v: Perm, n: int) -> Var:

@@ -5,10 +5,11 @@ transposition t, or (only when m is even) nu = t mu for some t commuting
 with mu.  Degrees are counted over distinct vertices, not transpositions:
 t and its mirror can produce the same conjugate.
 
-`edge_rows` holds the edge rule, for an array of one-line rows at once;
-`edges` reads it for one involution, `w0_neighbors` once per size on w0's
-row, and `export_dot` once per interval.  `class_graph` builds the graph at
-the w0-class once per size for `conjugate_degrees` and `sweep`.
+`edge_rows` holds the edge rule, for an array of one-line rows at once, and
+no other module applies it: `neighbors` reads it for one involution,
+`w0_neighbors` once per size on w0's row (for `w0_degree`, `sweep` and the
+slice geometry), and `export_dot` once per interval.  `class_graph` builds
+the graph at the w0-class once per size for `conjugate_degrees` and `sweep`.
 `conjugate_degrees` and `w0_degree` compare with `bruhat.above`.
 """
 
@@ -16,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterator
 
 import numpy as np
 
 from .errors import TooLarge
-from .perms import Perm, Transposition, all_transpositions, format_perm, guard_size
+from .perms import Perm, all_transpositions, format_perm, guard_size
 from .perms import row_keys, validate_involution, w0, w0_class_rows
 from .bruhat import above
 from .bruhat import bruhat_leq  # noqa: F401  (bench/tracer.py patches it here)
@@ -37,28 +37,16 @@ class NeighborSet:
     neighbors: frozenset[Perm]
 
 
-def edges(mu: Perm) -> Iterator[tuple[Transposition, Perm]]:
-    """The edges at mu as (t, nu), one per transposition t, in transposition order.
-
-    nu = t mu t when that differs from mu, else t mu when m is even; for odd m
-    a transposition commuting with mu gives no edge.  Never nu = mu.  The
-    rule is `edge_rows` on the single row mu.
-    """
-    m = len(mu)
-    rows = edge_rows(np.array(mu, dtype=np.int8).reshape(1, m))[0].tolist()
-    for t, nu in zip(all_transpositions(m), map(tuple, rows)):
-        if nu != mu:
-            yield t, nu
-
-
 def neighbors(mu: Perm) -> NeighborSet:
-    """All distinct vertices adjacent to mu; a non-involution raises MalformedInput."""
+    """All distinct vertices adjacent to mu: the distinct `edge_rows` of mu,
+    less mu itself.  A non-involution raises MalformedInput."""
     mu = validate_involution(mu)
-    return NeighborSet(center=mu, neighbors=frozenset(nu for _, nu in edges(mu)))
+    rows = edge_rows(np.array([mu], dtype=np.int8))[0].tolist()
+    return NeighborSet(center=mu, neighbors=frozenset(map(tuple, rows)) - {mu})
 
 
 def edge_rows(rows: np.ndarray) -> np.ndarray:
-    """The rule of `edges` for every row of a (K, m) int8 array of involutions.
+    """The edge rule for every row of a (K, m) int8 array of involutions.
 
     Returns (K, T, m): out[k, s] is the neighbour of mu = rows[k] along the
     s-th transposition t = (a, b), that is t mu t, else t mu when that leaves
@@ -148,9 +136,8 @@ def conjugate_degrees(pi: Perm) -> dict[Perm, int]:
 @cache
 def w0_neighbors(m: int) -> np.ndarray:
     """The distinct neighbours of w0(m), sorted, as a read-only (N, m) int8 array
-    for `w0_degree` and `sweep`: the distinct `edge_rows` of w0, less w0 itself."""
-    nbrs = set(map(tuple, edge_rows(np.array([w0(m)], dtype=np.int8))[0].tolist())) - {w0(m)}
-    rows = np.array(sorted(nbrs), dtype=np.int8).reshape(-1, m)
+    for `w0_degree`, `sweep` and the slice geometry: `neighbors` of w0."""
+    rows = np.array(sorted(neighbors(w0(m)).neighbors), dtype=np.int8).reshape(-1, m)
     rows.flags.writeable = False
     return rows
 

@@ -140,14 +140,9 @@ def involution_rows(m: int) -> np.ndarray:
     """
     if m < 0:
         raise MalformedInput(f"involutions need m >= 0, got {m}")
-    return _recurrence_rows(m, w0_class_only=False)
-
-
-def _recurrence_rows(m: int, w0_class_only: bool) -> np.ndarray:
-    # The w0-class has k % 2 fixed points, so rows with pi(1) = 1 only at odd k.
     older = old = np.zeros((1, 0), dtype=np.int8)  # size 0; older is unread at k = 1
     for k in range(1, m + 1):
-        blocks = [np.insert(old + 1, 0, 1, axis=1)] if k % 2 or not w0_class_only else []
+        blocks = [np.insert(old + 1, 0, 1, axis=1)]
         for j in range(2, k + 1):
             rest = np.insert(older + 1 + (older >= j - 1), j - 2, 1, axis=1)
             blocks.append(np.insert(rest, 0, j, axis=1))
@@ -172,14 +167,13 @@ def enumerate_involutions(m: int) -> list[Perm]:
 
 def w0_class_rows(m: int) -> np.ndarray:
     """Involutions with the cycle type of w0, floor(m/2) two-cycles, as the
-    rows of an int8 array in lexicographic one-line order.
-
-    Built by the recurrence of `involution_rows` kept to the class:
-    C(m) = (m-1) C(m-2) for even m.
+    rows of an int8 array in lexicographic one-line order: the rows of
+    `involution_rows(m)` with m mod 2 fixed points.
     """
     if m < 1:
         raise MalformedInput(f"w0_class needs m >= 1, got {m}")
-    return _recurrence_rows(m, w0_class_only=True)
+    rows = involution_rows(m)
+    return rows[(rows == np.arange(1, m + 1)).sum(axis=1) == m % 2]
 
 
 def w0_class(m: int) -> list[Perm]:

@@ -1,13 +1,15 @@
 """Reference definitions that the tests compare the program against.
 
 Each is written from its definition, and the program calls none of them:
-composition, conjugation and transpositions for the edge rule, the degree of
-a vertex in an interval, the Gram matrix of the slice as B J B^T, the
+composition, conjugation and transpositions, and from them the edge rule, the
+degree of a vertex in an interval, the Gram matrix of the slice as B J B^T, the
 predicted torus weights of the slice variables, and the flag file format
 that `parse_flag_file` reads.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from flagorbits.errors import PositionOutOfRange, SizeMismatch
 from flagorbits.geometry import FlagMatrix, Weight, slice_basis, slice_gram, slice_vars
@@ -42,6 +44,21 @@ def conjugate(mu: Perm, t: Transposition) -> Perm:
     lst = list(mu)
     lst[a - 1], lst[b - 1] = lst[b - 1], lst[a - 1]
     return tuple(b if v == a else a if v == b else v for v in lst)
+
+
+def oracle_edge(mu: Perm, t: Transposition) -> Perm | None:
+    """The neighbour of mu along t = (a, b) from the definition, or None:
+    t mu t when that differs from mu, else the product t mu for even m."""
+    nu = conjugate(mu, t)
+    if nu != mu:
+        return nu
+    return compose(transposition(*t, len(mu)), mu) if len(mu) % 2 == 0 else None
+
+
+def oracle_neighbors(mu: Perm) -> set[Perm]:
+    """The distinct neighbours of mu: oracle_edge along every transposition."""
+    nbrs = {oracle_edge(mu, t) for t in combinations(range(1, len(mu) + 1), 2)}
+    return nbrs - {None}
 
 
 def degree_in(v: Perm, iv: frozenset[Perm]) -> int:

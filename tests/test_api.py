@@ -1,5 +1,5 @@
 """The package's public surface: its exports, the names the benchmark reads,
-and imports that every module uses."""
+imports that every module uses, and the one module that applies the edge rule."""
 
 import ast
 import importlib
@@ -114,3 +114,19 @@ def test_every_import_is_used():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [u for path in modules for u in _unused_imports(path)] == []
+
+
+EDGE_RULE = {"edges", "edge_rows", "edge_keys", "all_transpositions"}
+
+
+def test_only_orbit_graph_imports_the_edge_rule():
+    importers = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "orbit_graph.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.split(".")[-1] in EDGE_RULE
+    ]
+    assert importers == []

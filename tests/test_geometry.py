@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
 
 from definitions import attractiveness_check, expected_weights, format_flag_file
-from definitions import gram_diagnostic
+from definitions import gram_diagnostic, oracle_edge, oracle_neighbors
 from flagorbits.cli import main
 from flagorbits.errors import (
     DegenerateFlag,
@@ -16,10 +17,11 @@ from flagorbits.errors import (
 )
 from flagorbits.perms import enumerate_involutions, identity, is_involution, parse_perm, w0
 from flagorbits.bruhat import bruhat_leq, max_rank, rank
-from flagorbits.orbit_graph import neighbors, w0_degree
+from flagorbits.orbit_graph import neighbors, w0_degree, w0_neighbors
 from flagorbits.poly import Poly, determinant
 from flagorbits.geometry import (
     FLAG_SIZE_GUARD,
+    _bottom_table,
     canonical_var,
     flag_matrix,
     minor_condition_ii,
@@ -141,6 +143,33 @@ def test_neighbor_variable_bijection(n):
     assert image == set(slice_vars(n))
 
 
+def oracle_variable(a, b, n):
+    """The slice variable of the pair a < b: the least slice index (i < j
+    with j > n) in its mirror class {(a, b), (2n+1-b, 2n+1-a)}."""
+    return min(p for p in ((a, b), (2 * n + 1 - b, 2 * n + 1 - a)) if p[1] > n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_bottom_table_matches_transposition_oracle(n):
+    # keyed by w0_neighbors in its order; every transposition reaching a
+    # neighbour names that neighbour's variable
+    m = 2 * n
+    table = _bottom_table(n)
+    assert list(table) == list(map(tuple, w0_neighbors(m).tolist()))
+    named = {}
+    for t in combinations(range(1, m + 1), 2):
+        named.setdefault(oracle_edge(w0(m), t), set()).add(oracle_variable(*t, n))
+    assert {u: {var} for u, var in table.items()} == named
+
+
+def test_slice_ideal_excludes_exactly_the_neighbours_not_above():
+    for n in (1, 2, 3, 4):
+        bottom = sorted(oracle_neighbors(w0(2 * n)))
+        for pi in enumerate_involutions(2 * n):
+            want = [u for u in bottom if not bruhat_leq(pi, u)]
+            assert [v for v, _ in slice_ideal(pi, n)] == want, pi
+
+
 def test_minor_examples():
     p = (3, 4, 1, 2)
     assert minor_condition_ii(p, (1, 3, 2, 4), 2) == Poly.var((1, 4), 2)
@@ -185,7 +214,7 @@ def test_slice_ideal_builds_shared_data_once(monkeypatch):
 
     run()  # warm-up: builds the n = 4 neighbour table and Gram matrix
     # canonical_var names every Gram entry and every neighbour's variable
-    calls = {"edges": 0, "canonical_var": 0, "prefix_violation": 0}
+    calls = {"w0_neighbors": 0, "canonical_var": 0, "prefix_violation": 0}
     for name in calls:
         real = getattr(geo, name)
 
@@ -196,7 +225,7 @@ def test_slice_ideal_builds_shared_data_once(monkeypatch):
         monkeypatch.setattr(geo, name, counted)
     ideal, claims = run()
     assert all(claims)
-    assert calls == {"edges": 0, "canonical_var": 0, "prefix_violation": 16 + len(ideal)}
+    assert calls == {"w0_neighbors": 0, "canonical_var": 0, "prefix_violation": 16 + len(ideal)}
 
 
 def test_slice_guard_fires_before_work(monkeypatch):
@@ -205,7 +234,7 @@ def test_slice_guard_fires_before_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("slice started work")
 
-    for name in ("edges", "prefix_violation", "determinant", "slice_gram"):
+    for name in ("w0_neighbors", "prefix_violation", "determinant", "slice_gram"):
         monkeypatch.setattr(geo, name, no_work)
     for n, raised in ((7, TooLarge), (6, AssertionError)):  # the guard admits m = 12
         pi, v = identity(2 * n), min(neighbors(w0(2 * n)).neighbors)

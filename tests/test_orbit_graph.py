@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from definitions import compose, conjugate, degree_in, transposition
+from definitions import conjugate, degree_in, oracle_edge, oracle_neighbors
 from flagorbits.errors import MalformedInput, TooLarge
 from flagorbits.perms import (
     all_transpositions,
@@ -20,28 +20,12 @@ from flagorbits.orbit_graph import (
     distinct_keys,
     edge_keys,
     edge_rows,
-    edges,
     export_dot,
     neighbors,
     row_keys,
     w0_degree,
 )
 from flagorbits.smoothness import classify
-
-
-def oracle_edge(mu, t):
-    """The neighbour of mu along t = (a, b) from the definition, or None:
-    t mu t when that differs from mu, else the product t mu for even m."""
-    nu = conjugate(mu, t)
-    if nu != mu:
-        return nu
-    return compose(transposition(*t, len(mu)), mu) if len(mu) % 2 == 0 else None
-
-
-def oracle_neighbors(mu):
-    """Oracle for neighbors: oracle_edge along every transposition."""
-    nbrs = {oracle_edge(mu, t) for t in all_transpositions(len(mu))}
-    return nbrs - {None}
 
 
 def scalar_conjugate_degrees(pi):
@@ -83,16 +67,12 @@ def test_neighbor_examples():
     assert neighbors((2, 1)).neighbors == {(1, 2)}
 
 
-def test_edges_follow_transposition_order():
-    for m in range(1, 7):
+def test_neighbors_match_oracle():
+    for m in range(1, 8):
         for mu in enumerate_involutions(m):
-            pairs = list(edges(mu))
-            ts = [t for t, _ in pairs]
-            assert ts == [t for t in all_transpositions(m) if t in ts]
-            if m % 2 == 0:
-                assert ts == all_transpositions(m)  # every t gives an edge
-            assert all(nu != mu for _, nu in pairs)
-            assert neighbors(mu).neighbors == {nu for _, nu in pairs}
+            got = neighbors(mu).neighbors
+            assert got == oracle_neighbors(mu), mu
+            assert mu not in got
 
 
 def test_degree_in():
@@ -214,8 +194,8 @@ def key(p):
 
 def test_edge_rows_follow_edges():
     # the bulk rule gives the oracle's neighbour along every transposition,
-    # and the member itself where there is no edge (odd m); edges and
-    # neighbors read it, and the keys keep each distinct neighbour once
+    # and the member itself where there is no edge (odd m); neighbors reads
+    # it, and the keys keep each distinct neighbour once
     for m in range(1, 10):
         cls = w0_class(m)
         rows = np.array(cls, dtype=np.int8)
@@ -225,7 +205,6 @@ def test_edge_rows_follow_edges():
         for k, c in enumerate(cls):
             along = [(t, oracle_edge(c, t)) for t in ts]
             assert [tuple(r) for r in bulk[k].tolist()] == [nu or c for _, nu in along]
-            assert list(edges(c)) == [(t, nu) for t, nu in along if nu]
             assert neighbors(c).neighbors == oracle_neighbors(c)
             got = sorted(keys[k][keys[k] >= 0].tolist())
             assert got == sorted(map(key, oracle_neighbors(c)))

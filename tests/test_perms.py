@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from flagorbits.perms import (
     validate_perm,
     w0,
     w0_class,
+    w0_class_rows,
 )
 
 
@@ -171,11 +173,17 @@ def test_w0_class():
         assert w0_class(m) == want
 
 
-def test_w0_class_matches_filter_of_involution_rows():
+def test_w0_class_rows_count_cycle_type_and_order():
+    # (m-1)!! perfect matchings at even m; at odd m, m choices of the fixed
+    # point times a matching of the rest
     for m in range(1, 13):
-        rows = involution_rows(m)
-        fixed = (rows == np.arange(1, m + 1)).sum(axis=1)
-        assert w0_class(m) == [tuple(row) for row in rows[fixed == m % 2].tolist()], m
+        rows = w0_class_rows(m)
+        count = math.prod(range(m - 1, 0, -2)) if m % 2 == 0 else m * math.prod(range(m - 2, 0, -2))
+        assert rows.dtype == np.int8 and rows.shape == (count, m), m
+        positions = np.arange(1, m + 1)
+        assert (np.take_along_axis(rows, rows.astype(np.intp) - 1, axis=1) == positions).all()
+        assert ((rows == positions).sum(axis=1) == m % 2).all()
+        assert (np.diff(row_keys(rows)) > 0).all()  # strictly lexicographic
 
 
 def test_validate_perm_rejects_non_bijection():
