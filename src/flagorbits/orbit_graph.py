@@ -136,8 +136,9 @@ def conjugate_degrees(pi: Perm) -> dict[Perm, int]:
 @cache
 def w0_neighbors(m: int) -> np.ndarray:
     """The distinct neighbours of w0(m), sorted, as a read-only (N, m) int8 array
-    for `w0_degree`, `sweep` and the slice geometry: `neighbors` of w0."""
-    rows = np.array(sorted(neighbors(w0(m)).neighbors), dtype=np.int8).reshape(-1, m)
+    for `w0_degree`, `sweep` and the slice geometry: the distinct `edge_rows` of w0, less w0."""
+    nbrs = set(map(tuple, edge_rows(np.array([w0(m)], dtype=np.int8))[0].tolist())) - {w0(m)}
+    rows = np.array(sorted(nbrs), dtype=np.int8).reshape(-1, m)
     rows.flags.writeable = False
     return rows
 

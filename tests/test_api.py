@@ -119,14 +119,26 @@ def test_every_import_is_used():
 EDGE_RULE = {"edges", "edge_rows", "edge_keys", "all_transpositions"}
 
 
+def _edge_rule_uses(node: ast.AST) -> list[str]:
+    """Names of the edge rule that node imports or reads as an attribute."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [a.name for a in node.names if a.name.split(".")[-1] in EDGE_RULE]
+    if isinstance(node, ast.Attribute) and node.attr in EDGE_RULE:
+        return [node.attr]
+    return []
+
+
 def test_only_orbit_graph_imports_the_edge_rule():
-    importers = [
-        f"{path.name}:{node.lineno} {alias.name}"
+    users = [
+        f"{path.name}:{node.lineno} {name}"
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "orbit_graph.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        for alias in node.names
-        if alias.name.split(".")[-1] in EDGE_RULE
+        for name in _edge_rule_uses(node)
     ]
-    assert importers == []
+    assert users == []
+
+
+def test_edge_rule_check_sees_attribute_reads():
+    tree = ast.parse("from . import orbit_graph\nx = orbit_graph.edge_rows(rows)\n")
+    assert [n for node in ast.walk(tree) for n in _edge_rule_uses(node)] == ["edge_rows"]
