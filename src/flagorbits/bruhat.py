@@ -16,17 +16,11 @@ The grading is floor(m^2/4) minus Incitti's rank of the involution poset,
 from __future__ import annotations
 
 from bisect import insort
-from typing import Iterator
 
 import numpy as np
 
 from .errors import SizeMismatch
-from .perms import Perm, guard_size, involution_rows, validate_involution
-
-# Bytes of comparison indicators a table build holds at once.
-TABLE_CHUNK_BYTES = 1 << 16
-# Bytes of packed masks `below_masks` builds at once.
-MASK_CHUNK_BYTES = 1 << 22
+from .perms import CHUNK_ROWS, Perm, guard_size, involution_rows, validate_involution
 
 
 def prefix_violation(u: Perm, v: Perm) -> tuple[int, int] | None:
@@ -53,42 +47,32 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     return prefix_violation(u, v) is None
 
 
-def table_slices(
-    rows: np.ndarray, entries: np.ndarray | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Reduced dominance tables of involutions, entry-major, in slices.
+def dominance_table(rows: np.ndarray, entries: np.ndarray | None = None) -> np.ndarray:
+    """Reduced dominance tables of involutions, entry-major, shape (entries, K).
 
-    rows is a (K, m) int8 array of one-line involutions.  Yields (s, part):
-    column k of part is the table of rows[s + k], and its row e holds d[i][j]
-    (0-based) for the e-th pair i <= j <= m-2 of np.triu_indices(m - 1).
-    The table of an involution is symmetric and its last row and column are
-    constant, so these m(m-1)/2 entries decide comparisons between
-    involutions.  `entries` selects a subset of the rows e; with none, nothing
-    is yielded.  Slices are sized so that their indicators stay within
-    TABLE_CHUNK_BYTES.
+    rows is a (K, m) int8 array of one-line involutions.  Column k is the
+    table of rows[k], and its row e holds d[i][j] (0-based) for the e-th pair
+    i <= j <= m-2 of np.triu_indices(m - 1).  The table of an involution is
+    symmetric and its last row and column are constant, so these m(m-1)/2
+    entries decide comparisons between involutions.  `entries` selects a
+    subset of the rows e, all of them by default.  The table is filled
+    CHUNK_ROWS columns at a time, so the comparison indicators behind it stay
+    small.
     """
     m = rows.shape[1]
     i, j = np.triu_indices(max(m - 1, 0))
     if entries is not None:
         i, j = i[entries], j[entries]
+    out = np.empty((len(i), len(rows)), dtype=np.int8)
     if not len(i):
-        return
+        return out
     cols, jpos = np.unique(j, return_inverse=True)
     top = int(i.max()) + 1
-    step = max(1, TABLE_CHUNK_BYTES // (top * len(cols)))
     prefix = np.ascontiguousarray(rows[:, :top].T)
     bounds = (cols + 1).astype(np.int8)[None, :, None]
-    for s in range(0, len(rows), step):
-        hits = prefix[:, None, s : s + step] <= bounds
-        yield s, np.cumsum(hits, axis=0, dtype=np.int8)[i, jpos]
-
-
-def dominance_table(rows: np.ndarray) -> np.ndarray:
-    """All m(m-1)/2 reduced entries of `table_slices`, shape (entries, K)."""
-    m = rows.shape[1]
-    out = np.empty((m * (m - 1) // 2, len(rows)), dtype=np.int8)
-    for s, part in table_slices(rows):
-        out[:, s : s + part.shape[1]] = part
+    for s in range(0, len(rows), CHUNK_ROWS):
+        hits = prefix[:, None, s : s + CHUNK_ROWS] <= bounds
+        out[:, s : s + CHUNK_ROWS] = np.cumsum(hits, axis=0, dtype=np.int8)[i, jpos]
     return out
 
 
@@ -102,10 +86,7 @@ def above(pi: Perm, rows: np.ndarray) -> np.ndarray:
     col = dominance_table(np.array([pi], dtype=np.int8))[:, 0]
     i, _ = np.triu_indices(max(len(pi) - 1, 0))
     live = np.flatnonzero(col <= i)
-    out = np.ones(len(rows), dtype=bool)
-    for s, part in table_slices(rows, live):
-        out[s : s + part.shape[1]] = (part <= col[live, None]).all(axis=0)
-    return out
+    return (dominance_table(rows, live) <= col[live, None]).all(axis=0)
 
 
 def threshold_bits(rows: np.ndarray) -> np.ndarray:
@@ -122,7 +103,7 @@ def threshold_bits(rows: np.ndarray) -> np.ndarray:
 
 
 def essential_entries(rows: np.ndarray) -> np.ndarray:
-    """ess[k, e]: reduced entry e of `table_slices` is a Fulton corner (p, q)
+    """ess[k, e]: reduced entry e of `dominance_table` is a Fulton corner (p, q)
     of the involution v = rows[k]: v(p) <= q < v(p+1), v(q) <= p < v(q+1).
 
     Elsewhere u's table >= v's at (p, q) follows from the same at a
@@ -141,11 +122,12 @@ def below_masks(bits: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, int
     """Packed <=-masks, laid out as `threshold_bits`: bit k of out[r] says
     that row k behind `bits` is <= vertices[r]; bits past the last row are
     unspecified.  Each mask is the AND of one threshold row per essential
-    entry of its vertex.  Also returns the number of entries compared."""
+    entry of its vertex, CHUNK_ROWS vertices at a time.  Also returns the
+    number of entries compared."""
     out = np.empty((len(vertices), bits.shape[2]), dtype=np.uint64)
-    step, compared = max(1, MASK_CHUNK_BYTES // max(1, out[:1].nbytes)), 0
-    for s in range(0, len(vertices), step):
-        part, masks = vertices[s : s + step], out[s : s + step]
+    compared = 0
+    for s in range(0, len(vertices), CHUNK_ROWS):
+        part, masks = vertices[s : s + CHUNK_ROWS], out[s : s + CHUNK_ROWS]
         ess, col = essential_entries(part), dominance_table(part)
         masks[:] = ~np.uint64(0)
         for e in np.flatnonzero(ess.any(axis=0)):
@@ -163,15 +145,14 @@ def max_rank(m: int) -> int:
 def ranks(rows: np.ndarray) -> np.ndarray:
     """`rank` of each involution in the rows of a (K, m) integer array, as int64:
     floor(m^2/4) - (inversions + #{i : pi(i) > i}) // 2.  Position pairs are
-    compared in slices whose indicators stay within TABLE_CHUNK_BYTES."""
+    compared CHUNK_ROWS rows at a time."""
     m = rows.shape[1]
     i, j = np.nonzero(~np.tri(m, dtype=bool))  # the pairs i < j, built faster than triu_indices
     pos = np.arange(1, m + 1, dtype=rows.dtype)
     twice = np.empty(len(rows), dtype=np.int64)
-    step = max(1, TABLE_CHUNK_BYTES // max(1, len(i)))
-    for s in range(0, len(rows), step):
-        part = rows[s : s + step]
-        twice[s : s + step] = (part[:, i] > part[:, j]).sum(axis=1) + (part > pos).sum(axis=1)
+    for s in range(0, len(rows), CHUNK_ROWS):
+        part = rows[s : s + CHUNK_ROWS]
+        twice[s : s + CHUNK_ROWS] = (part[:, i] > part[:, j]).sum(axis=1) + (part > pos).sum(axis=1)
     return max_rank(m) - twice // 2
 
 

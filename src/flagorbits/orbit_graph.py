@@ -21,14 +21,12 @@ from functools import cache
 import numpy as np
 
 from .errors import TooLarge
-from .perms import Perm, all_transpositions, format_perm, guard_size
+from .perms import CHUNK_ROWS, Perm, all_transpositions, format_perm, guard_size
 from .perms import row_keys, validate_involution, w0, w0_class_rows
 from .bruhat import above
 from .bruhat import bruhat_leq  # noqa: F401  (bench/tracer.py patches it here)
 
 DOT_VERTEX_GUARD = 5000
-# Neighbour rows class_graph holds at once.
-EDGE_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -93,6 +91,7 @@ def class_graph(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     arrays: rows (C, m) int8, the class in `w0_class_rows` order; inner (C, D)
     int16, the distinct class neighbours of rows[k] as ascending indices into
     rows; outer (C, H, m) int8, its distinct neighbours outside the class.
+    The edge keys are built CHUNK_ROWS class members at a time.
 
     The graph is regular, D = m(m-2)/4 and H = m/2 for even m, D = (m^2-1)/4
     and H = 0 for odd m, and the arrays are reshaped on that assumption.
@@ -100,10 +99,9 @@ def class_graph(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     guard_size(m, "class graph")
     rows = w0_class_rows(m)
     own = row_keys(rows)  # ascending, as the rows are lexicographic
-    step = max(1, EDGE_CHUNK_ROWS // max(1, m * (m - 1) // 2))
     inner, outer = [], []
-    for s in range(0, len(rows), step):
-        found = distinct_keys(edge_keys(rows[s : s + step]))
+    for s in range(0, len(rows), CHUNK_ROWS):
+        found = distinct_keys(edge_keys(rows[s : s + CHUNK_ROWS]))
         at = np.searchsorted(own, found).clip(max=len(own) - 1)
         cls = own[at] == found
         inner.append(at[cls].reshape(len(found), -1).astype(np.int16))

@@ -19,12 +19,10 @@ from itertools import combinations
 import numpy as np
 
 from .errors import MalformedInput
-from .perms import Perm, fixed_points, involution_rows, is_involution, parse_perm, row_keys
-from .perms import two_cycles
+from .perms import CHUNK_ROWS, Perm, fixed_points, involution_rows, is_involution, parse_perm
+from .perms import row_keys, two_cycles
 
 EVEN_FIXED_BETWEEN = "even-fixed-between"
-# Rows `pattern_masks` handles at once: whole levels add 13 MB to a first classify at m = 12.
-DELETION_CHUNK_ROWS = 1024
 
 PATTERN_2143: Perm = (2, 1, 4, 3)
 PATTERN_1324: Perm = (1, 3, 2, 4)
@@ -125,7 +123,8 @@ def qualified_2143(rows: np.ndarray) -> np.ndarray:
 
 def pattern_masks(rows: np.ndarray) -> np.ndarray:
     """Containment masks (int64) of the involutions in the rows of a (K, m)
-    int8 array, in the order given, DELETION_CHUNK_ROWS rows at a time.
+    int8 array, in the order given, CHUNK_ROWS rows at a time: whole levels
+    would add 13 MB to a first classify at m = 12.
 
     An occurrence in pi misses an orbit of pi and survives its deletion; one in
     pi minus an orbit lifts back to pi.  So mask(pi) = own bit | the masks of pi
@@ -137,8 +136,8 @@ def pattern_masks(rows: np.ndarray) -> np.ndarray:
     own = [(pat, bit) for pat, bit in _OWN_BIT.items() if len(pat) == k]
     pos = np.arange(1, k + 1, dtype=np.int8)
     masks = np.zeros(len(rows), dtype=np.int64)
-    for s in range(0, len(rows), DELETION_CHUNK_ROWS):
-        chunk, out = rows[s : s + DELETION_CHUNK_ROWS], masks[s : s + DELETION_CHUNK_ROWS]
+    for s in range(0, len(rows), CHUNK_ROWS):
+        chunk, out = rows[s : s + CHUNK_ROWS], masks[s : s + CHUNK_ROWS]
         out |= QUALIFIED_BIT * qualified_2143(chunk)
         for pat, bit in own:
             out[(chunk == pat).all(axis=1)] |= bit

@@ -20,6 +20,8 @@ Transposition = tuple[int, int]
 # The largest m whose involutions sweep, classify and interval enumerate
 # (140,152 involutions at m = 12).
 SIZE_GUARD = 12
+# Rows, vertices or class members that a chunked loop handles at once.
+CHUNK_ROWS = 1024
 
 
 def guard_size(m: int, what: str) -> None:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import MalformedInput
 from .perms import (
+    CHUNK_ROWS,
     Perm,
     format_perm,
     guard_size,
@@ -25,7 +26,7 @@ from .perms import (
     parse_perm,
     validate_involution,
 )
-from .bruhat import MASK_CHUNK_BYTES, below_masks, max_rank, rank, ranks, threshold_bits
+from .bruhat import below_masks, max_rank, rank, ranks, threshold_bits
 from .orbit_graph import class_graph, conjugate_degrees, w0_degree, w0_neighbors
 from .patterns import (
     BAD_PATTERNS,
@@ -174,16 +175,14 @@ def sweep(m: int) -> SweepReport:
     cls_masks, n = below_masks(bits, cls_rows)
     built, compared = built + len(cls_rows), compared + n
     h = outer.shape[1]
-    # A chunk's outer masks, h per member, stay within MASK_CHUNK_BYTES.
-    step = max(1, MASK_CHUNK_BYTES // (max(1, h) * cls_masks[:1].nbytes))
     conj_ok = np.full(bits.shape[2], ~np.uint64(0))  # packed like the masks
-    for s in range(0, len(cls_rows), step):
+    for s in range(0, len(cls_rows), CHUNK_ROWS):
         # Neighbours outside the class are built for this chunk only: each
         # has exactly one class neighbour, so each is built once.
-        new, n = below_masks(bits, outer[s : s + step].reshape(-1, m))
+        new, n = below_masks(bits, outer[s : s + CHUNK_ROWS].reshape(-1, m))
         built, compared = built + len(new), compared + n
         held = max(held, cls_masks.nbytes + new.nbytes)
-        for k, mask in enumerate(cls_masks[s : s + step]):
+        for k, mask in enumerate(cls_masks[s : s + CHUNK_ROWS]):
             live = mask & conj_ok  # a failed row stays failed
             words = np.flatnonzero(live)  # those holding some live candidate <= the member
             nbr_masks = np.concatenate((cls_masks[inner[s + k]], new[k * h : (k + 1) * h]))

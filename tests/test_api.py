@@ -1,5 +1,6 @@
 """The package's public surface: its exports, the names the benchmark reads,
-imports that every module uses, and the one module that applies the edge rule."""
+imports that every module uses, the one module that applies the edge rule, and
+the one module that sets a chunk size."""
 
 import ast
 import importlib
@@ -142,3 +143,31 @@ def test_only_orbit_graph_imports_the_edge_rule():
 def test_edge_rule_check_sees_attribute_reads():
     tree = ast.parse("from . import orbit_graph\nx = orbit_graph.edge_rows(rows)\n")
     assert [n for node in ast.walk(tree) for n in _edge_rule_uses(node)] == ["edge_rows"]
+
+
+def _chunk_constants(tree: ast.Module) -> list[str]:
+    """Module-level names containing CHUNK that tree assigns."""
+    targets = [
+        t
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if "CHUNK" in name]
+
+
+def test_only_perms_sets_a_chunk_size():
+    # one knob, perms.CHUNK_ROWS, sizes every chunked loop
+    owners = [
+        f"{path.name} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _chunk_constants(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert owners == ["perms.py CHUNK_ROWS"]
+
+
+def test_chunk_check_sees_every_assignment_form():
+    source = "A_CHUNK = 1\nB_CHUNK: int = 2\nC_CHUNK, x = 3, 4\ndef f():\n    D_CHUNK = 5\n"
+    tree = ast.parse(source)
+    assert _chunk_constants(tree) == ["A_CHUNK", "B_CHUNK", "C_CHUNK"]

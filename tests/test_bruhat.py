@@ -247,7 +247,7 @@ def test_ranks_edge_shapes(monkeypatch):
         assert empty.shape == (0,) and empty.dtype == np.int64
     rows = involution_rows(7)
     want = ranks(rows)
-    monkeypatch.setattr(br, "TABLE_CHUNK_BYTES", 50)  # 2 rows per slice at m = 7
+    monkeypatch.setattr(br, "CHUNK_ROWS", 2)  # 2 rows per slice
     assert ranks(rows).tolist() == want.tolist()
     for row, r in zip(rows, want.tolist()):
         assert rank(tuple(row.tolist())) == ranks(row[None])[0] == r

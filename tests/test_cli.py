@@ -1,3 +1,4 @@
+import hashlib
 import time
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from definitions import format_flag_file
 from flagorbits.cli import main
 from flagorbits.geometry import specialize_basis
+from flagorbits.smoothness import sweep, sweep_records
+from test_smoothness import SWEEP_8_SHA256
 
 
 def run(capsys, *argv):
@@ -48,14 +51,13 @@ def test_usage_errors(capsys):
 
 
 def test_sweep_stdout_and_out_file(tmp_path, capsys):
-    out_path = tmp_path / "m4.txt"
-    code, out, _ = run(capsys, "sweep", "--m", "4", "--out", str(out_path))
+    out_path = tmp_path / "m8.txt"
+    code, out, _ = run(capsys, "sweep", "--m", "8", "--out", str(out_path))
     assert code == 0
-    assert "1 rationally singular" in out.splitlines()
-    lines = out_path.read_text().splitlines()
-    assert len(lines) == 10
-    assert all(line.startswith("perm=") for line in lines)
-    assert any("perm=2143 " in line and "rationally_singular" in line for line in lines)
+    assert "pattern-singular-degree-smooth=none" in out.splitlines()
+    data = out_path.read_bytes()
+    assert data == ("\n".join(sweep_records(sweep(8))) + "\n").encode()
+    assert hashlib.sha256(data).hexdigest() == SWEEP_8_SHA256
 
 
 def test_sweep_coherence_exit_code(monkeypatch, capsys):
