@@ -5,12 +5,12 @@ transposition t, or (only when m is even) nu = t mu for some t commuting
 with mu.  Degrees are counted over distinct vertices, not transpositions:
 t and its mirror can produce the same conjugate.
 
-`edge_rows` holds the edge rule, for an array of one-line rows at once, and
-no other module applies it: `neighbors` reads it for one involution,
-`w0_neighbors` once per size on w0's row (for `w0_degree`, `sweep` and the
-slice geometry), and `export_dot` once per interval.  `class_graph` builds
-the graph at the w0-class once per size for `conjugate_degrees` and `sweep`.
-`conjugate_degrees` and `w0_degree` compare with `bruhat.above`.
+`edge_rows` holds the edge rule for an array of one-line rows, and only
+`neighbor_keys` reads it, for each row's distinct neighbours as `row_keys`.
+`neighbors` reads those for one involution, `w0_neighbors` once per size on
+w0's row (for `w0_degree`, `sweep` and the slice geometry), `class_graph` once
+per size on the w0-class (for `conjugate_degrees` and `sweep`), and `export_dot`
+once per interval.  The degrees compare with `bruhat.above`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import TooLarge
 from .perms import CHUNK_ROWS, Perm, all_transpositions, format_perm, guard_size
-from .perms import row_keys, validate_involution, w0, w0_class_rows
+from .perms import key_rows, row_keys, validate_involution, w0, w0_class_rows
 from .bruhat import above
 from .bruhat import bruhat_leq  # noqa: F401  (bench/tracer.py patches it here)
 
@@ -36,11 +36,12 @@ class NeighborSet:
 
 
 def neighbors(mu: Perm) -> NeighborSet:
-    """All distinct vertices adjacent to mu: the distinct `edge_rows` of mu,
-    less mu itself.  A non-involution raises MalformedInput."""
+    """All distinct vertices adjacent to mu, from its `neighbor_keys`.  A
+    non-involution raises MalformedInput, and m >= 16 TooLarge."""
     mu = validate_involution(mu)
-    rows = edge_rows(np.array([mu], dtype=np.int8))[0].tolist()
-    return NeighborSet(center=mu, neighbors=frozenset(map(tuple, rows)) - {mu})
+    keys = neighbor_keys(np.array([mu], dtype=np.int8))[0]
+    rows = key_rows(keys[keys >= 0], len(mu)).tolist()
+    return NeighborSet(center=mu, neighbors=frozenset(map(tuple, rows)))
 
 
 def edge_rows(rows: np.ndarray) -> np.ndarray:
@@ -70,18 +71,14 @@ def edge_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def edge_keys(rows: np.ndarray) -> np.ndarray:
-    """The (K, T) keys of `edge_rows`, with -1 where t gives no edge."""
+def neighbor_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row's distinct neighbours, for a (K, m) int8 array of involutions, as
+    (K, T) int64 `row_keys`: ascending, -1 elsewhere.  The key limit fires first."""
+    own = row_keys(rows)
     keys = row_keys(edge_rows(rows))
-    keys[keys == row_keys(rows)[:, None]] = -1
-    return keys
-
-
-def distinct_keys(keys: np.ndarray) -> np.ndarray:
-    """Sort each row of (K, T) neighbour keys and blank repeats with -1, so
-    that each row holds each distinct vertex once; -1 entries stay -1."""
-    keys = np.sort(keys, axis=1)
-    keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = -1
+    keys[keys == own[:, None]] = -1  # t gives no edge
+    keys.sort(axis=1)
+    keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = -1  # each vertex once
     return keys
 
 
@@ -91,7 +88,7 @@ def class_graph(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     arrays: rows (C, m) int8, the class in `w0_class_rows` order; inner (C, D)
     int16, the distinct class neighbours of rows[k] as ascending indices into
     rows; outer (C, H, m) int8, its distinct neighbours outside the class.
-    The edge keys are built CHUNK_ROWS class members at a time.
+    The `neighbor_keys` are built CHUNK_ROWS class members at a time.
 
     The graph is regular, D = m(m-2)/4 and H = m/2 for even m, D = (m^2-1)/4
     and H = 0 for odd m, and the arrays are reshaped on that assumption.
@@ -101,13 +98,11 @@ def class_graph(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     own = row_keys(rows)  # ascending, as the rows are lexicographic
     inner, outer = [], []
     for s in range(0, len(rows), CHUNK_ROWS):
-        found = distinct_keys(edge_keys(rows[s : s + CHUNK_ROWS]))
+        found = neighbor_keys(rows[s : s + CHUNK_ROWS])
         at = np.searchsorted(own, found).clip(max=len(own) - 1)
         cls = own[at] == found
         inner.append(at[cls].reshape(len(found), -1).astype(np.int16))
-        out = found[~cls & (found >= 0)].reshape(len(found), -1, 1)
-        digits = out // (m + 1) ** np.arange(m - 1, -1, -1) % (m + 1)  # a key's digits: its row
-        outer.append(digits.astype(np.int8))
+        outer.append(key_rows(found[~cls & (found >= 0)].reshape(len(found), -1), m))
     graph = rows, np.concatenate(inner), np.concatenate(outer)
     for a in graph:
         a.flags.writeable = False
@@ -134,9 +129,9 @@ def conjugate_degrees(pi: Perm) -> dict[Perm, int]:
 @cache
 def w0_neighbors(m: int) -> np.ndarray:
     """The distinct neighbours of w0(m), sorted, as a read-only (N, m) int8 array
-    for `w0_degree`, `sweep` and the slice geometry: the distinct `edge_rows` of w0, less w0."""
-    nbrs = set(map(tuple, edge_rows(np.array([w0(m)], dtype=np.int8))[0].tolist())) - {w0(m)}
-    rows = np.array(sorted(nbrs), dtype=np.int8).reshape(-1, m)
+    for `w0_degree`, `sweep` and the slice geometry: the rows of w0's `neighbor_keys`."""
+    keys = neighbor_keys(np.array([w0(m)], dtype=np.int8))[0]
+    rows = key_rows(keys[keys >= 0], m)
     rows.flags.writeable = False
     return rows
 
@@ -156,12 +151,10 @@ def export_dot(iv: frozenset[Perm]) -> str:
     nodes = sorted(iv)
     rows = np.array(nodes, dtype=np.int8).reshape(len(nodes), -1)
     own = row_keys(rows)  # ascending, as the nodes are sorted
-    keys = edge_keys(rows)
+    keys = neighbor_keys(rows)
     at = np.searchsorted(own, keys).clip(max=len(own) - 1)
-    u, t = np.nonzero(own[at] == keys)
-    v = at[u, t]
-    pairs = np.unique(np.minimum(u, v) * len(nodes) + np.maximum(u, v))  # each edge once
+    u, t = np.nonzero((own[at] == keys) & (at > np.arange(len(nodes))[:, None]))  # each edge once
     names = list(map(format_perm, nodes))
     lines = ["graph interval {"] + [f'  "{name}";' for name in names]
-    lines += [f'  "{names[p // len(nodes)]}" -- "{names[p % len(nodes)]}";' for p in pairs.tolist()]
+    lines += [f'  "{names[i]}" -- "{names[j]}";' for i, j in zip(u.tolist(), at[u, t].tolist())]
     return "\n".join(lines + ["}"]) + "\n"

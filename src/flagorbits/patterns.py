@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import MalformedInput
 from .perms import CHUNK_ROWS, Perm, fixed_points, involution_rows, is_involution, parse_perm
-from .perms import row_keys, two_cycles
+from .perms import guard_size, row_keys, two_cycles
 
 EVEN_FIXED_BETWEEN = "even-fixed-between"
 
@@ -123,8 +123,8 @@ def qualified_2143(rows: np.ndarray) -> np.ndarray:
 
 def pattern_masks(rows: np.ndarray) -> np.ndarray:
     """Containment masks (int64) of the involutions in the rows of a (K, m)
-    int8 array, in the order given, CHUNK_ROWS rows at a time: whole levels
-    would add 13 MB to a first classify at m = 12.
+    int8 array, m <= SIZE_GUARD, in the order given, CHUNK_ROWS rows at a
+    time: whole levels would add 13 MB to a first classify at m = 12.
 
     An occurrence in pi misses an orbit of pi and survives its deletion; one in
     pi minus an orbit lifts back to pi.  So mask(pi) = own bit | the masks of pi
@@ -133,6 +133,7 @@ def pattern_masks(rows: np.ndarray) -> np.ndarray:
     is tested directly instead, and left out of the tables.
     """
     k = rows.shape[1]
+    guard_size(k, "patterns")
     own = [(pat, bit) for pat, bit in _OWN_BIT.items() if len(pat) == k]
     pos = np.arange(1, k + 1, dtype=np.int8)
     masks = np.zeros(len(rows), dtype=np.int64)

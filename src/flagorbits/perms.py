@@ -154,12 +154,20 @@ def involution_rows(m: int) -> np.ndarray:
 
 def row_keys(rows: np.ndarray) -> np.ndarray:
     """One int64 key per one-line row (last axis): its base-(m+1) digits, most
-    significant first, so keys sort as the rows do lexicographically."""
+    significant first, so keys sort as the rows do lexicographically.  Keys are
+    below (m+1)^m, past int64 from m = 16, so those widths raise TooLarge first."""
     m = rows.shape[-1]
+    if (m + 1) ** m > np.iinfo(np.int64).max:
+        raise TooLarge(f"row keys overflow int64 at m = {m}; they hold m <= 15")
     keys = np.zeros(rows.shape[:-1], dtype=np.int64)
     for k in range(m):
         keys = keys * (m + 1) + rows[..., k]
     return keys
+
+
+def key_rows(keys: np.ndarray, m: int) -> np.ndarray:
+    """The inverse of `row_keys`: int8 one-line rows of width m, on a new last axis."""
+    return (keys[..., None] // (m + 1) ** np.arange(m - 1, -1, -1) % (m + 1)).astype(np.int8)
 
 
 def enumerate_involutions(m: int) -> list[Perm]:

@@ -1,6 +1,6 @@
 """The package's public surface: its exports, the names the benchmark reads,
-imports that every module uses, the one module that applies the edge rule, and
-the one module that sets a chunk size."""
+imports that every module uses, the one module that applies the edge rule and
+its one reader there, and the one module that sets a chunk size."""
 
 import ast
 import importlib
@@ -117,7 +117,7 @@ def test_every_import_is_used():
     assert [u for path in modules for u in _unused_imports(path)] == []
 
 
-EDGE_RULE = {"edges", "edge_rows", "edge_keys", "all_transpositions"}
+EDGE_RULE = {"edges", "edge_rows", "neighbor_keys", "all_transpositions"}
 
 
 def _edge_rule_uses(node: ast.AST) -> list[str]:
@@ -143,6 +143,30 @@ def test_only_orbit_graph_imports_the_edge_rule():
 def test_edge_rule_check_sees_attribute_reads():
     tree = ast.parse("from . import orbit_graph\nx = orbit_graph.edge_rows(rows)\n")
     assert [n for node in ast.walk(tree) for n in _edge_rule_uses(node)] == ["edge_rows"]
+
+
+def _edge_rows_readers(tree: ast.Module) -> list[str]:
+    """The top-level statements of tree, by name or line, that name edge_rows."""
+    return [
+        getattr(stmt, "name", f"line {stmt.lineno}")
+        for stmt in tree.body
+        if any(
+            isinstance(n, ast.Name) and n.id == "edge_rows"
+            or isinstance(n, ast.Attribute) and n.attr == "edge_rows"
+            for n in ast.walk(stmt)
+        )
+    ]
+
+
+def test_neighbor_keys_is_the_one_edge_rows_reader():
+    # every graph reader in orbit_graph goes through neighbor_keys
+    source = (PACKAGE / "orbit_graph.py").read_text(encoding="utf-8")
+    assert _edge_rows_readers(ast.parse(source)) == ["neighbor_keys"]
+
+
+def test_edge_rows_reader_check_sees_every_use():
+    source = "def f():\n    return edge_rows(r)\ndef g():\n    h = og.edge_rows\nx = edge_rows\n"
+    assert _edge_rows_readers(ast.parse(source)) == ["f", "g", "line 5"]
 
 
 def _chunk_constants(tree: ast.Module) -> list[str]:

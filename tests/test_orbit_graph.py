@@ -17,10 +17,9 @@ from flagorbits.bruhat import bruhat_leq, interval, rank
 from flagorbits.orbit_graph import (
     class_graph,
     conjugate_degrees,
-    distinct_keys,
-    edge_keys,
     edge_rows,
     export_dot,
+    neighbor_keys,
     neighbors,
     row_keys,
     w0_degree,
@@ -195,19 +194,19 @@ def key(p):
 def test_edge_rows_follow_edges():
     # the bulk rule gives the oracle's neighbour along every transposition,
     # and the member itself where there is no edge (odd m); neighbors reads
-    # it, and the keys keep each distinct neighbour once
+    # it, and the keys keep each distinct neighbour once, in ascending order
     for m in range(1, 10):
         cls = w0_class(m)
         rows = np.array(cls, dtype=np.int8)
         bulk = edge_rows(rows)
-        keys = distinct_keys(edge_keys(rows))
+        keys = neighbor_keys(rows)
         ts = all_transpositions(m)
         for k, c in enumerate(cls):
             along = [(t, oracle_edge(c, t)) for t in ts]
             assert [tuple(r) for r in bulk[k].tolist()] == [nu or c for _, nu in along]
             assert neighbors(c).neighbors == oracle_neighbors(c)
-            got = sorted(keys[k][keys[k] >= 0].tolist())
-            assert got == sorted(map(key, oracle_neighbors(c)))
+            got = keys[k][keys[k] >= 0].tolist()
+            assert got == sorted(map(key, oracle_neighbors(c)))  # distinct, ascending
 
 
 def test_class_graph_matches_oracle():
@@ -302,3 +301,21 @@ def test_row_keys_sort_lexicographically():
         keys = row_keys(np.array(invs, dtype=np.int8)).tolist()
         assert keys == list(map(key, invs)) == sorted(set(keys))
     assert row_keys(np.array([w0(12)], dtype=np.int8))[0] == key(w0(12))
+
+
+def test_neighbors_key_limit_fires_before_work(monkeypatch):
+    import flagorbits.orbit_graph as og
+
+    def no_work(*args):
+        raise AssertionError("edge rows built past the key limit")
+
+    monkeypatch.setattr(og, "edge_rows", no_work)
+    with pytest.raises(TooLarge):
+        neighbors(w0(16))
+
+
+def test_export_dot_refuses_keys_past_int64():
+    # at m = 16 the row keys would overflow, and edges would go missing
+    iv = frozenset({w0(16)} | oracle_neighbors(w0(16)))
+    with pytest.raises(TooLarge):
+        export_dot(iv)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flagorbits.errors import MalformedInput
+from flagorbits.errors import MalformedInput, TooLarge
 from flagorbits.perms import (
     enumerate_involutions,
     fixed_points,
@@ -12,6 +12,7 @@ from flagorbits.perms import (
     involution_rows,
     is_involution,
     parse_perm,
+    w0,
 )
 from flagorbits.patterns import (
     BAD_PATTERNS,
@@ -172,6 +173,22 @@ def test_masks_of_mixed_sizes():
     invs = [parse_perm("21354687"), (1,), parse_perm("2143"), (), parse_perm("426153")]
     for pi in invs:  # one call per size
         assert pattern_masks(np.array([pi], dtype=np.int8)).tolist() == [_oracle_mask(pi)]
+
+
+def test_pattern_masks_guard_fires_before_work(monkeypatch):
+    # a 13-wide row would otherwise enumerate every S_k, k <= 12, for the tables
+    import flagorbits.patterns as pat
+
+    def no_work(*args):
+        raise AssertionError("work ran past the guard")
+
+    monkeypatch.setattr(pat, "involution_rows", no_work)
+    _level_masks.cache_clear()
+    try:
+        with pytest.raises(TooLarge):
+            pattern_masks(np.array([w0(13)], dtype=np.int8))
+    finally:
+        _level_masks.cache_clear()
 
 
 def test_pattern_spec_validation():

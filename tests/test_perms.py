@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from definitions import compose, conjugate, transposition
-from flagorbits.errors import MalformedInput, PositionOutOfRange, SizeMismatch
+from flagorbits.errors import MalformedInput, PositionOutOfRange, SizeMismatch, TooLarge
 from flagorbits.perms import (
     all_transpositions,
     enumerate_involutions,
@@ -16,6 +16,7 @@ from flagorbits.perms import (
     involution_count,
     involution_rows,
     is_involution,
+    key_rows,
     parse_perm,
     row_keys,
     two_cycles,
@@ -147,6 +148,26 @@ def test_involution_rows_count_order_and_cycle_type():
         positions = np.arange(1, m + 1)
         assert (np.take_along_axis(rows, rows.astype(np.intp) - 1, axis=1) == positions).all()
         assert (np.diff(row_keys(rows)) > 0).all()  # strictly lexicographic
+
+
+def test_key_rows_invert_row_keys():
+    for m in range(0, 10):
+        rows = involution_rows(m)
+        back = key_rows(row_keys(rows), m)
+        assert back.dtype == np.int8 and np.array_equal(back, rows), m
+    rng = np.random.default_rng(25)
+    for m in range(12, 16):
+        rows = np.array([w0(m)] + [rng.permutation(m) + 1 for _ in range(200)], dtype=np.int8)
+        assert np.array_equal(key_rows(row_keys(rows), m), rows), m
+
+
+def test_row_keys_refuse_widths_past_int64():
+    # 16^15 < 2^63 < 17^16: the largest key of width 15 is exact, width 16 is refused
+    assert row_keys(np.array([w0(15)], dtype=np.int8))[0] == sum(
+        v * 16 ** (14 - k) for k, v in enumerate(w0(15))
+    )
+    with pytest.raises(TooLarge):
+        row_keys(np.zeros((0, 16), dtype=np.int8))
 
 
 def test_enumeration_matches_brute_force():
