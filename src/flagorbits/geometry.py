@@ -156,17 +156,25 @@ def slice_gram(n: int) -> tuple[tuple[Poly, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def minor_condition_ii(pi: Perm, c: Perm, n: int) -> Poly:
-    """Minor on the first i rows and columns c_1..c_i at the first prefix
-    failure of pi <= c; its vanishing cuts the slice along c's direction.
-    pi is taken unchecked, as `slice_ideal` accepts it."""
+def _failure_row(pi: Perm, c: Perm, n: int) -> int:
+    """Row i of the first prefix failure of pi <= c, for c in the slice table."""
     if c not in _bottom_table(n):
         raise NotANeighbor(f"{format_perm(c)} is not adjacent to the bottom vertex")
     hit = prefix_violation(pi, c)
     if hit is None:
         raise InInterval(f"{format_perm(c)} lies in the interval of {format_perm(pi)}")
-    i, _ = hit
+    return hit[0]
+
+
+def _minor_ii(c: Perm, i: int, n: int) -> Poly:
     return determinant(slice_gram(n), range(1, i + 1), sorted(c[:i]))
+
+
+def minor_condition_ii(pi: Perm, c: Perm, n: int) -> Poly:
+    """Minor on the first i rows and columns c_1..c_i at the first prefix
+    failure of pi <= c; its vanishing cuts the slice along c's direction.
+    pi is taken unchecked, as `slice_ideal` accepts it."""
+    return _minor_ii(c, _failure_row(pi, c, n), n)
 
 
 def slice_ideal(pi: Perm, n: int) -> list[tuple[Perm, Poly]]:
@@ -193,16 +201,16 @@ def slice_ideal(pi: Perm, n: int) -> list[tuple[Perm, Poly]]:
 
 
 def monomial_claim(pi: Perm, v: Perm, n: int) -> bool:
-    """Exactly one monomial of the column-set minor is a first or second
-    power of the variable attached to v; pi is taken unchecked, as `slice_ideal` accepts it."""
-    poly = minor_condition_ii(pi, v, n)
+    """Exactly one monomial of the column-set minor (ii) is a first or second power of v's
+    variable; decided once per (v, i, n), as pi (taken unchecked) sets only the row i."""
+    return _claim(v, _failure_row(pi, v, n), n)
+
+
+@cache
+def _claim(v: Perm, i: int, n: int) -> bool:
+    """`monomial_claim` at failure row i, decided once per (v, i, n): n^2 * 2n keys per n."""
     x = neighbor_variable(v, n)
-    count = sum(
-        1
-        for mono in poly.terms
-        if len(mono) == 1 and mono[0][0] == x and mono[0][1] in (1, 2)
-    )
-    return count == 1
+    return sum(mono in (((x, 1),), ((x, 2),)) for mono in _minor_ii(v, i, n).terms) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import MalformedInput, TooLarge
 from .perms import CHUNK_ROWS, Perm, all_transpositions, format_perm, guard_size
 from .perms import key_rows, row_keys, validate_involution, w0, w0_class_rows
 from .bruhat import above
@@ -145,10 +145,12 @@ def w0_degree(pi: Perm) -> int:
 
 
 def export_dot(iv: frozenset[Perm]) -> str:
-    """DOT text for the interval graph; deterministic node and edge order."""
+    """DOT text, in a fixed order, for the interval graph on involutions of one size m >= 1."""
     if len(iv) > DOT_VERTEX_GUARD:
         raise TooLarge(f"interval has {len(iv)} vertices, guard is {DOT_VERTEX_GUARD}")
-    nodes = sorted(iv)
+    nodes = sorted(map(validate_involution, iv))
+    if not nodes or not nodes[0] or len(set(map(len, nodes))) > 1:
+        raise MalformedInput("a DOT graph needs one or more involutions of one size m >= 1")
     rows = np.array(nodes, dtype=np.int8).reshape(len(nodes), -1)
     own = row_keys(rows)  # ascending, as the nodes are sorted
     keys = neighbor_keys(rows)

@@ -149,6 +149,13 @@ def oracle_variable(a, b, n):
     return min(p for p in ((a, b), (2 * n + 1 - b, 2 * n + 1 - a)) if p[1] > n)
 
 
+def oracle_neighbor_variables(n):
+    """Each neighbour of w0(2n) mapped to its slice variable, from oracle_edge."""
+    m = 2 * n
+    pairs = combinations(range(1, m + 1), 2)
+    return {oracle_edge(w0(m), t): oracle_variable(*t, n) for t in pairs}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_bottom_table_matches_transposition_oracle(n):
     # keyed by w0_neighbors in its order; every transposition reaching a
@@ -214,7 +221,7 @@ def test_slice_ideal_builds_shared_data_once(monkeypatch):
 
     run()  # warm-up: builds the n = 4 neighbour table and Gram matrix
     # canonical_var names every Gram entry and every neighbour's variable
-    calls = {"w0_neighbors": 0, "canonical_var": 0, "prefix_violation": 0}
+    calls = {"w0_neighbors": 0, "canonical_var": 0, "prefix_violation": 0, "determinant": 0}
     for name in calls:
         real = getattr(geo, name)
 
@@ -225,7 +232,13 @@ def test_slice_ideal_builds_shared_data_once(monkeypatch):
         monkeypatch.setattr(geo, name, counted)
     ideal, claims = run()
     assert all(claims)
-    assert calls == {"w0_neighbors": 0, "canonical_var": 0, "prefix_violation": 16 + len(ideal)}
+    # slice_ideal's own minors only: every claim was decided in the warm-up
+    assert calls == {
+        "w0_neighbors": 0,
+        "canonical_var": 0,
+        "prefix_violation": 16 + len(ideal),
+        "determinant": len(ideal),
+    }
 
 
 def test_slice_guard_fires_before_work(monkeypatch):
@@ -258,7 +271,11 @@ def _first_failure(u, v):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_minors_against_sympy_determinants(n):
-    # the Gram matrix as B J B^T in sympy, independent of slice_gram and determinant
+    # the Gram matrix as B J B^T in sympy, independent of slice_gram and determinant;
+    # monomial_claim, cold and then warm, against the claim counted on the sympy minor (ii)
+    import flagorbits.geometry as geo
+
+    geo._claim.cache_clear()
     m = 2 * n
     syms = {v: sympy.Symbol(f"a{v[0]}_{v[1]}") for v in slice_vars(n)}
 
@@ -274,7 +291,14 @@ def test_minors_against_sympy_determinants(n):
     def oracle(rows, cols):
         return gram.extract([r - 1 for r in rows], [c - 1 for c in cols]).det(method="berkowitz")
 
+    def sympy_claim(minor, x):
+        gens = list(syms.values())
+        pure = {tuple(e * (g == syms[x]) for g in gens) for e in (1, 2)}
+        return sum(mono in pure for mono in sympy.Poly(minor, *gens).monoms()) == 1
+
+    variables = oracle_neighbor_variables(n)
     bottom = sorted(neighbors(w0(m)).neighbors)
+    claims = {}
     checked = 0
     for pi in enumerate_involutions(m):
         ideal = dict(slice_ideal(pi, n))
@@ -287,10 +311,57 @@ def test_minors_against_sympy_determinants(n):
             rows_i = [v.index(x) + 1 for x in prefix[:j]]
             got_i = to_sympy(ideal[v])
             assert sympy.expand(oracle(rows_i, prefix[:j]) - got_i) == 0, (pi, v)
-            got_ii = to_sympy(minor_condition_ii(pi, v, n))
-            assert sympy.expand(oracle(range(1, i + 1), prefix) - got_ii) == 0, (pi, v)
+            want_ii = sympy.expand(oracle(range(1, i + 1), prefix))
+            assert sympy.expand(want_ii - to_sympy(minor_condition_ii(pi, v, n))) == 0, (pi, v)
+            claims[pi, v] = sympy_claim(want_ii, variables[v])
+            assert monomial_claim(pi, v, n) == claims[pi, v], (pi, v)
             checked += 1
     assert checked == {1: 1, 2: 18, 3: 286}[n]
+    misses = geo._claim.cache_info().misses
+    assert all(monomial_claim(pi, v, n) == want for (pi, v), want in claims.items())
+    assert geo._claim.cache_info().misses == misses  # the warm pass decides nothing again
+
+
+def test_claim_table_matches_uncached_minors_at_n4():
+    # the claim counted on a fresh minor_condition_ii per pair, as the claim was
+    # decided before it had a table; the table's keys stay within n^2 * 2n
+    import flagorbits.geometry as geo
+
+    n = 4
+    variables = oracle_neighbor_variables(n)
+    geo._claim.cache_clear()
+    pairs = 0
+    for pi in enumerate_involutions(2 * n):
+        for v, x in variables.items():
+            if bruhat_leq(pi, v):
+                continue
+            count = sum(
+                1
+                for mono in minor_condition_ii(pi, v, n).terms
+                if len(mono) == 1 and mono[0][0] == x and mono[0][1] in (1, 2)
+            )
+            assert monomial_claim(pi, v, n) == (count == 1), (pi, v)
+            pairs += 1
+    info = geo._claim.cache_info()
+    assert info.hits + info.misses == pairs
+    assert info.misses == info.currsize <= n * n * 2 * n
+
+
+def test_monomial_claim_holds_for_every_minor_up_to_m10():
+    # every (pi, v) with v a neighbour of w0 outside I_pi, for every involution with m <= 10
+    pairs = {}
+    for n in range(1, 6):
+        bottom = list(map(tuple, w0_neighbors(2 * n).tolist()))
+        pairs[n] = 0
+        for pi in enumerate_involutions(2 * n):
+            for v in bottom:
+                try:
+                    holds = monomial_claim(pi, v, n)
+                except InInterval:
+                    continue
+                assert holds, (pi, v)
+                pairs[n] += 1
+    assert pairs == {1: 1, 2: 18, 3: 286, 4: 4_718, 5: 84_592}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -319,3 +319,20 @@ def test_export_dot_refuses_keys_past_int64():
     iv = frozenset({w0(16)} | oracle_neighbors(w0(16)))
     with pytest.raises(TooLarge):
         export_dot(iv)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [frozenset(), frozenset({(1, 2), (1, 2, 3)}), frozenset({(2, 3, 1)}), frozenset({()})],
+    ids=["empty", "mixed-widths", "non-involution", "width-zero"],
+)
+def test_export_dot_rejects_malformed_vertex_sets(vertices, monkeypatch):
+    import flagorbits.orbit_graph as og
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} reached before validation")
+
+    monkeypatch.setattr(og, "np", NoNumpy())
+    with pytest.raises(MalformedInput):
+        export_dot(vertices)
