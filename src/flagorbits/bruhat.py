@@ -159,14 +159,14 @@ def ranks(rows: np.ndarray) -> np.ndarray:
 def rank(pi: Perm) -> int:
     """Grading of the involution pi, distance above the closed orbit:
     floor(m^2/4) minus Incitti's (inv(pi) + exc(pi)) / 2, by `ranks` on its
-    one row, held as int64 so that any m fits.  A non-involution raises
-    MalformedInput.
+    one row, held as int64 so that any m fits.  A non-involution, m = 0
+    included, raises MalformedInput.
 
     >>> rank((1, 2, 3, 4)), rank((4, 3, 2, 1)), rank((3, 4, 1, 2))
     (4, 0, 1)
     """
     pi = validate_involution(pi)
-    return int(ranks(np.array(pi, dtype=np.int64).reshape(1, len(pi)))[0])
+    return int(ranks(np.array([pi], dtype=np.int64))[0])
 
 
 def interval(pi: Perm) -> frozenset[Perm]:

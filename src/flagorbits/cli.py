@@ -33,6 +33,7 @@ from .smoothness import (
     report_record,
     report_text,
     sweep,
+    sweep_records,
     sweep_text,
     verify_known_cases,
 )
@@ -83,7 +84,7 @@ def _cmd_sweep(args) -> int:
     sys.stdout.write(sweep_text(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(report_record(r) + "\n" for r in report.rows)
+            fh.writelines(record + "\n" for record in sweep_records(report))
     if args.m % 2 == 0 and report.pattern_singular_degree_smooth:
         return EXIT_COHERENCE
     return EXIT_OK

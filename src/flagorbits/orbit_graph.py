@@ -149,9 +149,9 @@ def export_dot(iv: frozenset[Perm]) -> str:
     if len(iv) > DOT_VERTEX_GUARD:
         raise TooLarge(f"interval has {len(iv)} vertices, guard is {DOT_VERTEX_GUARD}")
     nodes = sorted(map(validate_involution, iv))
-    if not nodes or not nodes[0] or len(set(map(len, nodes))) > 1:
-        raise MalformedInput("a DOT graph needs one or more involutions of one size m >= 1")
-    rows = np.array(nodes, dtype=np.int8).reshape(len(nodes), -1)
+    if not nodes or len(set(map(len, nodes))) > 1:
+        raise MalformedInput("a DOT graph needs one or more involutions of one size")
+    rows = np.array(nodes, dtype=np.int8)
     own = row_keys(rows)  # ascending, as the nodes are sorted
     keys = neighbor_keys(rows)
     at = np.searchsorted(own, keys).clip(max=len(own) - 1)

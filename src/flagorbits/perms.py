@@ -39,10 +39,10 @@ def validate_perm(entries: Iterable[int]) -> Perm:
 
 
 def validate_involution(entries: Iterable[int]) -> Perm:
-    """`validate_perm`, then check that the permutation is an involution."""
+    """`validate_perm`, then check that the permutation is an involution of m >= 1."""
     p = validate_perm(entries)
-    if not is_involution(p):
-        raise MalformedInput(f"not an involution: {format_perm(p)}")
+    if not p or not is_involution(p):
+        raise MalformedInput(f"not an involution of m >= 1: {format_perm(p) or '()'}")
     return p
 
 

@@ -110,10 +110,15 @@ class ClassificationReport:
         return [(spec, occurrences(self.perm, spec)[0]) for spec in self.patterns]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepReport:
     m: int
-    rows: list[ClassificationReport]
+    # Per involution of S_m, in order: its int8 row, then ClassificationReport's fields.
+    perm: np.ndarray
+    rank: np.ndarray
+    w0_degree: np.ndarray
+    conjugates_pass: np.ndarray
+    mask: np.ndarray
     # Even m: must be empty (degree test is ground truth, patterns necessary).
     pattern_singular_degree_smooth: list[Perm]
     # Conjecture direction: expected empty, reported as a warning only.
@@ -124,6 +129,12 @@ class SweepReport:
     # masks: packed <=-masks built, one per vertex (`sweep`); mask_bytes: peak bytes of them
     # held at once; mask_entries: essential entries they compared; candidates: deg_w0 == rank rows.
     counters: dict[str, int]
+
+    def _reports(self, part: slice = slice(None)) -> list[ClassificationReport]:
+        cols = (c[part].tolist() for c in (self.rank, self.w0_degree, self.conjugates_pass, self.mask))
+        return list(map(ClassificationReport, map(tuple, self.perm[part].tolist()), *cols))
+
+    rows = property(_reports, doc="Each row's report, equal to its `classify`, built on access.")
 
 
 @cache
@@ -152,13 +163,12 @@ def sweep(m: int) -> SweepReport:
     candidate rows only, its `outer` rows' per chunk of members.  Patterns
     come from one orbit-deletion pass, reading the tables of smaller sizes.
     """
-    if m < 1:
-        raise MalformedInput(f"sweep needs m >= 1, got {m}")
+    if type(m) is not int or m < 1:
+        raise MalformedInput(f"sweep needs m >= 1, got {m!r}")
     guard_size(m, "sweep")
 
     stamps = [time.perf_counter()]
     inv_rows = involution_rows(m)
-    invs = [tuple(row.tolist()) for row in inv_rows]
     stamps.append(time.perf_counter())
     bits = threshold_bits(inv_rows)
     rank_col = ranks(inv_rows)
@@ -166,7 +176,7 @@ def sweep(m: int) -> SweepReport:
 
     w0_masks, compared = below_masks(bits, w0_neighbors(m))
     built, held = len(w0_masks), w0_masks.nbytes
-    deg_w0 = np.unpackbits(w0_masks.view(np.uint8), axis=1)[:, : len(invs)].sum(axis=0)
+    deg_w0 = np.unpackbits(w0_masks.view(np.uint8), axis=1)[:, : len(inv_rows)].sum(axis=0)
     del bits, w0_masks  # the candidates' bits replace them
     cand = np.flatnonzero(deg_w0 == rank_col)
     bits = threshold_bits(inv_rows[cand])
@@ -191,24 +201,22 @@ def sweep(m: int) -> SweepReport:
             viol = np.packbits(deg_c != cand_rank.reshape(-1, 64)[words].ravel()).view(np.uint64)
             conj_ok[words] &= ~(viol & live[words])
         log.info("sweep m=%d: %d of %d class members, %d masks", m, s + k + 1, len(cls_rows), built)
-    passes = np.zeros(len(invs), dtype=bool)
+    passes = np.zeros(len(inv_rows), dtype=bool)
     passes[cand] = np.unpackbits(conj_ok.view(np.uint8))[: len(cand)]
     stamps.append(time.perf_counter())
     pattern_bits = pattern_masks(inv_rows)
     stamps.append(time.perf_counter())
 
-    cols = (rank_col, deg_w0, passes, pattern_bits)
-    rows = list(map(ClassificationReport, invs, *(c.tolist() for c in cols)))
-    smooth = [row for row in rows if row.degree_verdict == RATIONALLY_SMOOTH]
-    singular = [row for row in rows if row.degree_verdict == RATIONALLY_SINGULAR]
-    counts = {RATIONALLY_SMOOTH: len(smooth), RATIONALLY_SINGULAR: len(singular)}
-    counts[NOT_APPLICABLE] = len(rows) - sum(counts.values())
-    singular_smooth = [row.perm for row in smooth if row.pattern_singular]
-    avoiding_singular = [row.perm for row in singular if not row.pattern_singular]
+    # The column form of `degree_verdict` and `pattern_singular`.
+    smooth, singular = (deg_w0 == rank_col) & (m % 2 == 0), (deg_w0 != rank_col) & (m % 2 == 0)
+    flagged = (pattern_bits & ((1 << SINGULAR) - 1)) != 0
+    counts = {RATIONALLY_SMOOTH: int(smooth.sum()), RATIONALLY_SINGULAR: int(singular.sum())}
+    counts[NOT_APPLICABLE] = len(inv_rows) - sum(counts.values())
+    singular_smooth = list(map(tuple, inv_rows[smooth & flagged].tolist()))
+    avoiding_singular = list(map(tuple, inv_rows[singular & ~flagged].tolist()))
     stamps.append(time.perf_counter())
     return SweepReport(
-        m=m,
-        rows=rows,
+        m, inv_rows, rank_col, deg_w0, passes, pattern_bits,
         pattern_singular_degree_smooth=singular_smooth,
         pattern_avoiding_degree_singular=avoiding_singular,
         counts=counts,
@@ -388,13 +396,15 @@ def report_text(report: ClassificationReport) -> str:
 
 
 def sweep_records(report: SweepReport) -> list[str]:
-    return [report_record(row) for row in report.rows]
+    """One `report_record` per row, from reports built CHUNK_ROWS rows at a time."""
+    parts = (slice(s, s + CHUNK_ROWS) for s in range(0, len(report.perm), CHUNK_ROWS))
+    return [rec for part in parts for rec in map(report_record, report._reports(part))]
 
 
 def sweep_text(report: SweepReport) -> str:
     """The summary `flagorbits sweep` prints: counts and the coherence lists;
     the per-involution verdicts are in `sweep_records`."""
-    lines = [f"m={report.m} involutions={len(report.rows)}"]
+    lines = [f"m={report.m} involutions={len(report.perm)}"]
     if report.m % 2 == 0:
         lines.append(f"{report.counts[RATIONALLY_SINGULAR]} rationally singular")
         for name, found in (
@@ -403,7 +413,7 @@ def sweep_text(report: SweepReport) -> str:
         ):
             lines.append(f"{name}=" + (" ".join(map(format_perm, found)) or "none"))
     else:
-        fails = sum(not r.conjugates_pass for r in report.rows)
+        fails = len(report.perm) - int(report.conjugates_pass.sum())
         lines.append(f"{fails} fail the all-conjugates degree test")
     lines.append(f"# elapsed {report.elapsed:.3f}s")
     lines += [f"# phase {name} {sec:.3f}s" for name, sec in report.phases.items()]

@@ -240,7 +240,9 @@ def test_ranks_match_crossing_count_through_m12():
 def test_ranks_edge_shapes(monkeypatch):
     import flagorbits.bruhat as br
 
-    assert rank(()) == 0 and ranks(np.zeros((1, 0), dtype=np.int8)).tolist() == [0]
+    with pytest.raises(MalformedInput):  # one m >= 1 rule for every Perm-taking name
+        rank(())
+    assert ranks(np.zeros((1, 0), dtype=np.int8)).tolist() == [0]
     assert rank((1,)) == 0 and ranks(np.array([[1]], dtype=np.int8)).tolist() == [0]
     for m in (0, 1, 5):
         empty = ranks(np.zeros((0, m), dtype=np.int8))

@@ -215,6 +215,6 @@ def test_validate_perm_rejects_non_bijection():
 def test_validate_involution():
     assert validate_involution([2, 1, 3]) == (2, 1, 3)
     assert not is_involution((5,))  # an entry outside 1..m, not an IndexError
-    for bad in ((5,), (1, 1), (3, 1, 2, 4), (2, 3, 1)):
+    for bad in ((), (5,), (1, 1), (3, 1, 2, 4), (2, 3, 1)):
         with pytest.raises(MalformedInput):
             validate_involution(bad)

@@ -14,7 +14,7 @@ from flagorbits.orbit_graph import class_graph, w0_degree
 from flagorbits.patterns import pattern_masks
 from flagorbits.perms import enumerate_involutions, involution_rows, parse_perm, w0_class
 from flagorbits.poly import determinant
-from flagorbits.smoothness import classify, sweep
+from flagorbits.smoothness import classify, sweep, sweep_records
 
 
 def _slice():
@@ -34,6 +34,7 @@ CALLS = {
     "classify": lambda: classify(parse_perm("21436587")),
     "conjugate_witness": lambda: classify(parse_perm("21435")).conjugate_witness,
     "sweep": lambda: sweep(6),
+    "sweep_records": lambda: sweep_records(sweep(6)),
 }
 
 

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from flagorbits.bruhat import essential_entries, rank
+from flagorbits.bruhat import essential_entries, interval, rank
 from flagorbits.errors import MalformedInput, TooLarge
 from flagorbits.orbit_graph import class_graph, conjugate_degrees, neighbors, w0_degree
 from flagorbits.patterns import SINGULAR, SPECS, occurrences, pattern_masks
@@ -259,9 +259,44 @@ def test_degree_paths_make_no_scalar_calls(monkeypatch):
 def test_sweep_guard():
     with pytest.raises(TooLarge):
         sweep(13)
-    for m in (-1, 0):
+    for m in (-1, 0, True, 2.5, "4"):
         with pytest.raises(MalformedInput):
             sweep(m)
+
+
+def test_empty_involution_refused_at_validation():
+    # one m >= 1 rule: every Perm-taking name refuses () before any work
+    for fn in (rank, interval, neighbors, classify, w0_degree, conjugate_degrees):
+        with pytest.raises(MalformedInput, match="not an involution of m >= 1"):
+            fn(())
+
+
+def test_sweep_builds_no_reports_and_records_hold_one_chunk(monkeypatch):
+    # a sweep keeps columns only; sweep_records builds one report per row,
+    # and at most CHUNK_ROWS of them are alive at once
+    import flagorbits.smoothness as sm
+
+    live = dict(built=0, now=0, peak=0)
+
+    class Counted(ClassificationReport):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live["built"] += 1
+            live["now"] += 1
+            live["peak"] = max(live["peak"], live["now"])
+
+        def __del__(self):
+            live["now"] -= 1
+
+    monkeypatch.setattr(sm, "ClassificationReport", Counted)
+    rep = sweep(8)
+    assert live["built"] == 0
+    records = sweep_records(rep)
+    assert live["built"] == len(records) == 764 and live["now"] == 0
+    monkeypatch.setattr(sm, "CHUNK_ROWS", 7)
+    live.update(built=0, peak=0)
+    assert sweep_records(rep) == records
+    assert live["built"] == 764 and live["peak"] == 7 and live["now"] == 0
 
 
 def test_classify_guard_fires_before_work(monkeypatch):
