@@ -17,36 +17,10 @@ from .errors import (
     SizeMismatch,
     TooLarge,
 )
-from .perms import (
-    Perm,
-    enumerate_involutions,
-    fixed_points,
-    format_perm,
-    identity,
-    insert_fixed_point,
-    involution_count,
-    is_involution,
-    parse_perm,
-    two_cycles,
-    w0,
-    w0_class,
-)
-from .bruhat import bruhat_leq, interval, max_rank, rank, ranks
-from .orbit_graph import (
-    NeighborSet,
-    conjugate_degrees,
-    export_dot,
-    neighbors,
-    w0_degree,
-)
-from .patterns import (
-    EVEN_FIXED_BETWEEN,
-    SPECS,
-    PatternHit,
-    PatternSpec,
-    occurrences,
-    pattern_masks,
-)
+from .perms import Perm, enumerate_involutions, parse_perm, w0, w0_class
+from .bruhat import bruhat_leq, interval, rank
+from .orbit_graph import conjugate_degrees, export_dot, neighbors, w0_degree
+from .patterns import EVEN_FIXED_BETWEEN, SPECS, PatternSpec
 
 __all__ = [n for n in dir() if not n.startswith("_") and type(globals()[n]) is not type(perms)]
 __version__ = "0.1.0"

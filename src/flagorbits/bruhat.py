@@ -20,7 +20,7 @@ from bisect import insort
 import numpy as np
 
 from .errors import SizeMismatch
-from .perms import CHUNK_ROWS, Perm, guard_size, involution_rows, validate_involution
+from .perms import CHUNK_ROWS, Perm, guard_size, involution_rows, validate_involution, validate_perm
 
 
 def prefix_violation(u: Perm, v: Perm) -> tuple[int, int] | None:
@@ -43,8 +43,9 @@ def prefix_violation(u: Perm, v: Perm) -> tuple[int, int] | None:
 
 
 def bruhat_leq(u: Perm, v: Perm) -> bool:
-    """Sorted-prefix test for u <= v in Bruhat order."""
-    return prefix_violation(u, v) is None
+    """Sorted-prefix test for u <= v in Bruhat order; MalformedInput unless
+    both are permutations (m >= 1, int entries)."""
+    return prefix_violation(validate_perm(u), validate_perm(v)) is None
 
 
 def dominance_table(rows: np.ndarray, entries: np.ndarray | None = None) -> np.ndarray:
@@ -160,7 +161,8 @@ def rank(pi: Perm) -> int:
     """Grading of the involution pi, distance above the closed orbit:
     floor(m^2/4) minus Incitti's (inv(pi) + exc(pi)) / 2, by `ranks` on its
     one row, held as int64 so that any m fits.  A non-involution, m = 0
-    included, raises MalformedInput.
+    included, raises MalformedInput, as does an entry that is not an int
+    (a float or bool is refused, not rounded).
 
     >>> rank((1, 2, 3, 4)), rank((4, 3, 2, 1)), rank((3, 4, 1, 2))
     (4, 0, 1)
@@ -171,7 +173,7 @@ def rank(pi: Perm) -> int:
 
 def interval(pi: Perm) -> frozenset[Perm]:
     """I_pi: all involutions v with pi <= v, by filtering the enumeration."""
-    guard_size(len(pi), "interval")
     pi = validate_involution(pi)
+    guard_size(len(pi), "interval")
     rows = involution_rows(len(pi))
     return frozenset(map(tuple, rows[above(pi, rows)].tolist()))

@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import DegenerateFlag, InInterval, MalformedInput, NotANeighbor, TooLarge
-from .perms import Perm, format_perm, guard_size, validate_involution, w0
+from .perms import Perm, format_perm, guard_size, validate_involution, validate_size, w0
 from .bruhat import prefix_violation
 from .orbit_graph import w0_neighbors
 from .poly import Poly, Var, determinant
@@ -186,7 +186,7 @@ def slice_ideal(pi: Perm, n: int) -> list[tuple[Perm, Poly]]:
     columns v'_1..v'_j.
     """
     pi = validate_involution(pi)
-    m = 2 * n
+    m = 2 * validate_size(n, "slice_ideal")
     if len(pi) != m:
         raise MalformedInput(f"{format_perm(pi)} has size {len(pi)}, expected {m}")
     out = []

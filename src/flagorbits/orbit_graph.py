@@ -15,6 +15,7 @@ once per interval.  The degrees compare with `bruhat.above`.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cache
 
@@ -139,13 +140,15 @@ def w0_neighbors(m: int) -> np.ndarray:
 def w0_degree(pi: Perm) -> int:
     """Degree of the bottom vertex w0 in I_pi: the number of `w0_neighbors`
     above pi, by `above`.  m > SIZE_GUARD raises TooLarge."""
-    guard_size(len(pi), "w0 degree")
     pi = validate_involution(pi)
+    guard_size(len(pi), "w0 degree")
     return int(above(pi, w0_neighbors(len(pi))).sum())
 
 
 def export_dot(iv: frozenset[Perm]) -> str:
     """DOT text, in a fixed order, for the interval graph on involutions of one size m >= 1."""
+    if not isinstance(iv, Collection):
+        raise MalformedInput(f"a DOT graph needs a collection of involutions, got {iv!r}")
     if len(iv) > DOT_VERTEX_GUARD:
         raise TooLarge(f"interval has {len(iv)} vertices, guard is {DOT_VERTEX_GUARD}")
     nodes = sorted(map(validate_involution, iv))

@@ -19,8 +19,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import MalformedInput
-from .perms import CHUNK_ROWS, Perm, fixed_points, involution_rows, is_involution, parse_perm
-from .perms import guard_size, row_keys, two_cycles
+from .perms import CHUNK_ROWS, Perm, fixed_points, involution_rows, parse_perm
+from .perms import guard_size, row_keys, two_cycles, validate_involution
 
 EVEN_FIXED_BETWEEN = "even-fixed-between"
 
@@ -42,8 +42,7 @@ class PatternSpec:
     qualifier: str | None = None
 
     def __post_init__(self) -> None:
-        if not is_involution(self.pattern):
-            raise MalformedInput(f"pattern {self.pattern} is not an involution")
+        object.__setattr__(self, "pattern", validate_involution(self.pattern))  # a tuple, hashable
         if self.qualifier not in (None, EVEN_FIXED_BETWEEN):
             raise MalformedInput(f"unknown qualifier {self.qualifier!r}")
         if self.qualifier == EVEN_FIXED_BETWEEN and self.pattern != PATTERN_2143:

@@ -30,17 +30,38 @@ def guard_size(m: int, what: str) -> None:
         raise TooLarge(f"{what} guard is m <= {SIZE_GUARD}, got {m}")
 
 
+def validate_size(m: int, what: str) -> int:
+    """The one size rule: m is an int, not a bool, with m >= 1; MalformedInput otherwise."""
+    if type(m) is not int or m < 1:
+        raise MalformedInput(f"{what} needs m >= 1, got {m!r}")
+    return m
+
+
+def _int_entries(entries: Iterable[int]) -> Perm:
+    """The entries as a tuple, each an int (a bool, float or str is not);
+    MalformedInput otherwise, a non-iterable included.  Nothing is coerced."""
+    try:
+        p = tuple(entries)
+    except TypeError:
+        raise MalformedInput(f"not a sequence of entries: {entries!r}") from None
+    if not all(type(x) is int for x in p):
+        raise MalformedInput(f"entries must be ints: {p!r}")
+    return p
+
+
 def validate_perm(entries: Iterable[int]) -> Perm:
-    """Check that the entries are a bijection of {1..m} and return a tuple."""
-    p = tuple(int(x) for x in entries)
-    if sorted(p) != list(range(1, len(p) + 1)):
+    """Check that the entries are ints forming a bijection of {1..m}, m >= 1,
+    and return them as a tuple."""
+    p = _int_entries(entries)
+    if not p or sorted(p) != list(range(1, len(p) + 1)):
         raise MalformedInput(f"not a permutation of 1..{len(p)}: {p}")
     return p
 
 
 def validate_involution(entries: Iterable[int]) -> Perm:
-    """`validate_perm`, then check that the permutation is an involution of m >= 1."""
-    p = validate_perm(entries)
+    """`validate_perm`'s entry rule, then check that the entries are an
+    involution of m >= 1 (pi(pi(i)) = i makes pi a bijection)."""
+    p = _int_entries(entries)
     if not p or not is_involution(p):
         raise MalformedInput(f"not an involution of m >= 1: {format_perm(p) or '()'}")
     return p
@@ -57,6 +78,8 @@ def parse_perm(text: str) -> Perm:
     >>> parse_perm("10,2,3,4,5,6,7,8,9,1")[0]
     10
     """
+    if type(text) is not str:
+        raise MalformedInput(f"permutation text must be a str, got {text!r}")
     text = text.strip()
     if not text:
         raise MalformedInput("empty permutation text")
@@ -79,9 +102,7 @@ def identity(m: int) -> Perm:
 
 def w0(m: int) -> Perm:
     """The order-reversing involution m, m-1, ..., 1."""
-    if m < 1:
-        raise MalformedInput(f"w0 needs m >= 1, got {m}")
-    return tuple(range(m, 0, -1))
+    return tuple(range(validate_size(m, "w0"), 0, -1))
 
 
 def is_involution(p: Perm) -> bool:
@@ -140,8 +161,6 @@ def involution_rows(m: int) -> np.ndarray:
     keeps order, so each block is lexicographic and the blocks come in order
     of pi(1).  Each level reads only the two before it.
     """
-    if m < 0:
-        raise MalformedInput(f"involutions need m >= 0, got {m}")
     older = old = np.zeros((1, 0), dtype=np.int8)  # size 0; older is unread at k = 1
     for k in range(1, m + 1):
         blocks = [np.insert(old + 1, 0, 1, axis=1)]
@@ -171,8 +190,9 @@ def key_rows(keys: np.ndarray, m: int) -> np.ndarray:
 
 
 def enumerate_involutions(m: int) -> list[Perm]:
-    """All involutions of S_m in lexicographic one-line order."""
-    return [tuple(row.tolist()) for row in involution_rows(m)]
+    """All involutions of S_m, m >= 1, in lexicographic one-line order."""
+    rows = involution_rows(validate_size(m, "enumerate_involutions"))
+    return [tuple(row.tolist()) for row in rows]
 
 
 def w0_class_rows(m: int) -> np.ndarray:
@@ -180,15 +200,13 @@ def w0_class_rows(m: int) -> np.ndarray:
     rows of an int8 array in lexicographic one-line order: the rows of
     `involution_rows(m)` with m mod 2 fixed points.
     """
-    if m < 1:
-        raise MalformedInput(f"w0_class needs m >= 1, got {m}")
     rows = involution_rows(m)
     return rows[(rows == np.arange(1, m + 1)).sum(axis=1) == m % 2]
 
 
 def w0_class(m: int) -> list[Perm]:
-    """The rows of `w0_class_rows` as tuples."""
-    return [tuple(row.tolist()) for row in w0_class_rows(m)]
+    """The rows of `w0_class_rows` as tuples, m >= 1."""
+    return [tuple(row.tolist()) for row in w0_class_rows(validate_size(m, "w0_class"))]
 
 
 def all_transpositions(m: int) -> list[Transposition]:

@@ -15,7 +15,6 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import MalformedInput
 from .perms import (
     CHUNK_ROWS,
     Perm,
@@ -25,6 +24,7 @@ from .perms import (
     involution_rows,
     parse_perm,
     validate_involution,
+    validate_size,
 )
 from .bruhat import below_masks, max_rank, rank, ranks, threshold_bits
 from .orbit_graph import class_graph, conjugate_degrees, w0_degree, w0_neighbors
@@ -146,8 +146,8 @@ def _specs(mask: int) -> tuple[PatternSpec, ...]:
 def classify(pi: Perm) -> ClassificationReport:
     """Full report for a single involution; the same value as its `sweep` row.
     w0 is a w0-conjugate above pi: `conjugate_degrees` runs only if deg_w0 == rank."""
-    guard_size(len(pi), "classify")
     pi = validate_involution(pi)
+    guard_size(len(pi), "classify")
     row = np.array([pi], dtype=np.int8)
     r, deg = int(ranks(row)[0]), w0_degree(pi)
     passes = deg == r and all(d == r for d in conjugate_degrees(pi).values())
@@ -163,9 +163,7 @@ def sweep(m: int) -> SweepReport:
     candidate rows only, its `outer` rows' per chunk of members.  Patterns
     come from one orbit-deletion pass, reading the tables of smaller sizes.
     """
-    if type(m) is not int or m < 1:
-        raise MalformedInput(f"sweep needs m >= 1, got {m!r}")
-    guard_size(m, "sweep")
+    guard_size(validate_size(m, "sweep"), "sweep")
 
     stamps = [time.perf_counter()]
     inv_rows = involution_rows(m)

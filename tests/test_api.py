@@ -20,9 +20,7 @@ PUBLIC_API = [
     "FlagOrbitsError",
     "InInterval",
     "MalformedInput",
-    "NeighborSet",
     "NotANeighbor",
-    "PatternHit",
     "PatternSpec",
     "Perm",
     "PositionOutOfRange",
@@ -33,21 +31,10 @@ PUBLIC_API = [
     "conjugate_degrees",
     "enumerate_involutions",
     "export_dot",
-    "fixed_points",
-    "format_perm",
-    "identity",
-    "insert_fixed_point",
     "interval",
-    "involution_count",
-    "is_involution",
-    "max_rank",
     "neighbors",
-    "occurrences",
     "parse_perm",
-    "pattern_masks",
     "rank",
-    "ranks",
-    "two_cycles",
     "w0",
     "w0_class",
     "w0_degree",

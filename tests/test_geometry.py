@@ -210,6 +210,12 @@ def test_slice_ideal_rejects_non_involutions():
             slice_ideal(bad, 2)
 
 
+def test_slice_ideal_takes_the_size_rule_on_n():
+    for n in (True, None, 2.0, "2", 0, -1):
+        with pytest.raises(MalformedInput):
+            slice_ideal((2, 1, 4, 3), n)
+
+
 def test_slice_ideal_builds_shared_data_once(monkeypatch):
     import flagorbits.geometry as geo
 

@@ -63,6 +63,12 @@ def test_bad_patterns_list():
         assert spec.qualifier is None
 
 
+def test_pattern_spec_holds_the_validated_tuple():
+    spec = PatternSpec([2, 1, 4, 3])
+    assert spec.pattern == PATTERN_2143 and spec == PatternSpec(PATTERN_2143)
+    assert hash(spec) == hash(PatternSpec(PATTERN_2143))
+
+
 def test_specs_layout():
     assert SPECS[:24] == BAD_PATTERNS
     assert SPECS[24:] == (QUALIFIED_2143, PatternSpec(PATTERN_2143), PatternSpec(PATTERN_1324))
@@ -72,10 +78,15 @@ def _oracle_mask(pi):
     return sum(1 << k for k, spec in enumerate(SPECS) if occurrences(pi, spec))
 
 
+def _tuples(m):
+    """The involutions of S_m as tuples, m = 0 included (`enumerate_involutions` starts at 1)."""
+    return list(map(tuple, involution_rows(m).tolist()))
+
+
 def test_masks_match_occurrences_exhaustively():
     # every bit, the qualified 2143 included, on every involution up to m=8
     for m in range(0, 9):
-        invs = enumerate_involutions(m)
+        invs = _tuples(m)
         assert pattern_masks(involution_rows(m)).tolist() == [_oracle_mask(pi) for pi in invs], m
 
 
@@ -110,13 +121,13 @@ def _prefix_count_2143(pi):
 
 def test_masks_match_dict_dp():
     for m in range(0, 11):
-        assert pattern_masks(involution_rows(m)).tolist() == _dict_masks(enumerate_involutions(m)), m
+        assert pattern_masks(involution_rows(m)).tolist() == _dict_masks(_tuples(m)), m
 
 
 def test_qualified_2143_matches_prefix_counts():
     for m in range(0, 11):
         got = qualified_2143(involution_rows(m)).tolist()
-        assert got == [_prefix_count_2143(pi) for pi in enumerate_involutions(m)], m
+        assert got == [_prefix_count_2143(pi) for pi in _tuples(m)], m
 
 
 def test_classify_builds_tables_below_its_size_only():

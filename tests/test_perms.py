@@ -133,7 +133,9 @@ def test_enumeration_counts_and_order():
     assert enumerate_involutions(1) == [(1,)]
     assert len(enumerate_involutions(4)) == 10
     assert len(enumerate_involutions(8)) == 764
-    for m in range(0, 9):
+    with pytest.raises(MalformedInput):
+        enumerate_involutions(0)  # involution_rows(0) is checked with the other row counts
+    for m in range(1, 9):
         invs = enumerate_involutions(m)
         assert len(invs) == involution_count(m)
         assert invs == sorted(invs)
@@ -177,9 +179,12 @@ def test_enumeration_matches_brute_force():
             for p in itertools.permutations(range(1, m + 1))
             if is_involution(p)
         )
-        assert enumerate_involutions(m) == brute
-    with pytest.raises(MalformedInput):
-        enumerate_involutions(-1)
+        assert list(map(tuple, involution_rows(m).tolist())) == brute
+        if m:
+            assert enumerate_involutions(m) == brute
+    for m in (0, -1):
+        with pytest.raises(MalformedInput):
+            enumerate_involutions(m)
 
 
 def test_w0_class():

@@ -313,6 +313,16 @@ def test_classify_guard_fires_before_work(monkeypatch):
         classify(identity(12))  # the guard admits m = 12
 
 
+def test_validation_comes_before_the_size_guard():
+    # malformed input is refused as such, whatever its length; then the guard fires
+    for fn in (classify, w0_degree, interval):
+        for bad in (None, 5, (2.9, 1.1), (2, 3, 1) + tuple(range(4, 14))):
+            with pytest.raises(MalformedInput):
+                fn(bad)
+        with pytest.raises(TooLarge):
+            fn(w0(13))
+
+
 def test_classify_reads_conjugates_only_where_w0_degree_is_rank(monkeypatch):
     # w0 is a w0-conjugate above every pi, so deg_w0 != rank already fails
     import flagorbits.smoothness as sm
