@@ -27,7 +27,7 @@ from .geometry import (
     slice_vars,
     variable_weight,
 )
-from .poly import _var_name
+from .poly import var_name
 from .smoothness import (
     classify,
     report_record,
@@ -123,7 +123,7 @@ def _cmd_slice(args) -> int:
     print(f"slice for {format_perm(pi)} (n={n}, r={rank(pi)})")
     print("variables:")
     for v in slice_vars(n):
-        print(f"  {_var_name(v)} weight {_format_weight(variable_weight(v, n))}")
+        print(f"  {var_name(v)} weight {_format_weight(variable_weight(v, n))}")
     print("gram:")
     for row in slice_gram(n):
         print("  [" + ", ".join(str(p) for p in row) + "]")
@@ -133,7 +133,7 @@ def _cmd_slice(args) -> int:
         print("  (empty; every bottom-vertex neighbor lies in the interval)")
     for v, poly in ideal:
         claim = "pass" if monomial_claim(pi, v, n) else "FAIL"
-        var = _var_name(neighbor_variable(v, n))
+        var = var_name(neighbor_variable(v, n))
         print(f"  v={format_perm(v)} var={var} minor={poly} claim={claim}")
     return EXIT_OK
 

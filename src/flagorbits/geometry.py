@@ -12,6 +12,7 @@ form and flag orbit identification are available.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sized
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
@@ -220,8 +221,11 @@ def _claim(v: Perm, i: int, n: int) -> bool:
 
 def flag_matrix(rows: Sequence[Sequence[Fraction | int | str]]) -> FlagMatrix:
     """The rows as an m x m matrix of Fractions, 1 <= m <= FLAG_SIZE_GUARD (TooLarge
-    above it, before any entry is read); MalformedInput otherwise.  Text entries
-    take no exponent: Fraction("1e20000000") alone takes tens of seconds."""
+    above it, before any entry is read); MalformedInput otherwise, whatever the
+    shape or entry types.  Text entries take no exponent: Fraction("1e20000000")
+    alone takes tens of seconds."""
+    if not isinstance(rows, Sized):
+        raise MalformedInput(f"a flag is a sequence of rows, got {rows!r}")
     m = len(rows)
     if m > FLAG_SIZE_GUARD:
         raise TooLarge(f"flag guard is m <= {FLAG_SIZE_GUARD}, got {m}")
@@ -229,11 +233,13 @@ def flag_matrix(rows: Sequence[Sequence[Fraction | int | str]]) -> FlagMatrix:
         raise MalformedInput("a flag needs m >= 1 rows")
     out = []
     for row in rows:
+        if not isinstance(row, Iterable):
+            raise MalformedInput(f"a flag row is a sequence of entries, got {row!r}")
         try:
             if any("e" in x.lower() for x in row if isinstance(x, str)):
                 raise ValueError
             vals = tuple(Fraction(x) for x in row)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError, TypeError):
             raise MalformedInput(f"bad rational in row: {' '.join(map(str, row))!r}") from None
         if len(vals) != m:
             raise MalformedInput(f"expected {m} entries per row, got {len(vals)}")

@@ -17,8 +17,8 @@ Perm = tuple[int, ...]
 # A transposition is an ordered pair (a, b) of positions with a < b.
 Transposition = tuple[int, int]
 
-# The largest m whose involutions sweep, classify and interval enumerate
-# (140,152 involutions at m = 12).
+# The largest m whose involutions sweep, classify, interval, enumerate_involutions
+# and w0_class enumerate (140,152 involutions at m = 12).
 SIZE_GUARD = 12
 # Rows, vertices or class members that a chunked loop handles at once.
 CHUNK_ROWS = 1024
@@ -190,9 +190,9 @@ def key_rows(keys: np.ndarray, m: int) -> np.ndarray:
 
 
 def enumerate_involutions(m: int) -> list[Perm]:
-    """All involutions of S_m, m >= 1, in lexicographic one-line order."""
-    rows = involution_rows(validate_size(m, "enumerate_involutions"))
-    return [tuple(row.tolist()) for row in rows]
+    """All involutions of S_m, 1 <= m <= SIZE_GUARD, in lexicographic one-line order."""
+    guard_size(validate_size(m, "enumerate_involutions"), "enumerate_involutions")
+    return [tuple(row.tolist()) for row in involution_rows(m)]
 
 
 def w0_class_rows(m: int) -> np.ndarray:
@@ -205,8 +205,9 @@ def w0_class_rows(m: int) -> np.ndarray:
 
 
 def w0_class(m: int) -> list[Perm]:
-    """The rows of `w0_class_rows` as tuples, m >= 1."""
-    return [tuple(row.tolist()) for row in w0_class_rows(validate_size(m, "w0_class"))]
+    """The rows of `w0_class_rows` as tuples, 1 <= m <= SIZE_GUARD."""
+    guard_size(validate_size(m, "w0_class"), "w0_class")
+    return [tuple(row.tolist()) for row in w0_class_rows(m)]
 
 
 def all_transpositions(m: int) -> list[Transposition]:

@@ -90,7 +90,7 @@ class Poly:
         for m in self.monomials():
             c = self.terms[m]
             body = "*".join(
-                _var_name(v) + (f"^{e}" if e > 1 else "") for v, e in m
+                var_name(v) + (f"^{e}" if e > 1 else "") for v, e in m
             )
             if not body:
                 parts.append(str(c))
@@ -106,7 +106,7 @@ class Poly:
     __repr__ = __str__
 
 
-def _var_name(v: Var) -> str:
+def var_name(v: Var) -> str:
     i, j = v
     return f"a{i}{j}" if j <= 9 else f"a{i}_{j}"
 

@@ -112,7 +112,6 @@ class ClassificationReport:
 
 @dataclass(frozen=True, eq=False)
 class SweepReport:
-    m: int
     # Per involution of S_m, in order: its int8 row, then ClassificationReport's fields.
     perm: np.ndarray
     rank: np.ndarray
@@ -124,11 +123,13 @@ class SweepReport:
     # Conjecture direction: expected empty, reported as a warning only.
     pattern_avoiding_degree_singular: list[Perm]
     counts: dict[str, int]
-    elapsed: float
-    phases: dict[str, float]  # seconds per SWEEP_PHASES entry
+    phases: dict[str, float]  # seconds per SWEEP_PHASES entry, between successive time stamps
     # masks: packed <=-masks built, one per vertex (`sweep`); mask_bytes: peak bytes of them
     # held at once; mask_entries: essential entries they compared; candidates: deg_w0 == rank rows.
     counters: dict[str, int]
+
+    m = property(lambda self: self.perm.shape[1], doc="The m of S_m: the width of `perm`.")
+    elapsed = property(lambda self: sum(self.phases.values()), doc="Seconds over all phases.")
 
     def _reports(self, part: slice = slice(None)) -> list[ClassificationReport]:
         cols = (c[part].tolist() for c in (self.rank, self.w0_degree, self.conjugates_pass, self.mask))
@@ -214,11 +215,10 @@ def sweep(m: int) -> SweepReport:
     avoiding_singular = list(map(tuple, inv_rows[singular & ~flagged].tolist()))
     stamps.append(time.perf_counter())
     return SweepReport(
-        m, inv_rows, rank_col, deg_w0, passes, pattern_bits,
+        inv_rows, rank_col, deg_w0, passes, pattern_bits,
         pattern_singular_degree_smooth=singular_smooth,
         pattern_avoiding_degree_singular=avoiding_singular,
         counts=counts,
-        elapsed=stamps[-1] - stamps[0],
         phases={name: b - a for name, a, b in zip(SWEEP_PHASES, stamps, stamps[1:])},
         counters=dict(masks=built, mask_bytes=held, mask_entries=compared, candidates=len(cand)),
     )
@@ -250,8 +250,10 @@ class CaseResult:
     witnesses: tuple[str, ...] = ()
 
 
-def _conjugate_excess(degrees: dict[Perm, int], r: int) -> list[tuple[Perm, int]]:
-    return sorted((c, d) for c, d in degrees.items() if d > r)
+def _degrees(p: Perm) -> tuple[int, int, list[tuple[Perm, int]]]:
+    """rank(p), w0_degree(p), and the w0-conjugates in I_p of degree above the rank, sorted."""
+    r = rank(p)
+    return r, w0_degree(p), sorted((c, d) for c, d in conjugate_degrees(p).items() if d > r)
 
 
 def verify_known_cases() -> list[CaseResult]:
@@ -270,10 +272,9 @@ def verify_known_cases() -> list[CaseResult]:
     # (a) every bad pattern has bottom-degree excess, except the two where a
     # conjugate carries the excess instead.
     for p in patterns:
-        r, deg = rank(p), w0_degree(p)
+        r, deg, excess = _degrees(p)
         label = format_perm(p)
         if p in DEGREE_EXCEPTION_PATTERNS:
-            excess = _conjugate_excess(conjugate_degrees(p), r)
             ok = deg == r and bool(excess)
             wit = tuple(f"{format_perm(c)}:deg={d}>r={r}" for c, d in excess[:1])
             results.append(CaseResult("a", f"{label} conjugate excess", ok, wit))
@@ -284,12 +285,9 @@ def verify_known_cases() -> list[CaseResult]:
 
     # (b) the four insertion exceptions: bottom degree matches, conjugate excess.
     for p in exceptions:
-        r, deg = rank(p), w0_degree(p)
-        excess = _conjugate_excess(conjugate_degrees(p), r)
+        r, deg, excess = _degrees(p)
         ok = deg == r and bool(excess)
-        wit = (f"deg={deg} r={r}",) + tuple(
-            f"{format_perm(c)}:deg={d}" for c, d in excess[:1]
-        )
+        wit = (f"deg={deg} r={r}",) + tuple(f"{format_perm(c)}:deg={d}" for c, d in excess[:1])
         results.append(CaseResult("b", f"{format_perm(p)} conjugate excess", ok, wit))
 
     # (c) single-fixed-point insertions into the 24 bad patterns keep
@@ -313,34 +311,18 @@ def verify_known_cases() -> list[CaseResult]:
     # degree.
     for pos in (1, 2, 4, 5):
         s = insert_fixed_point(PATTERN_2143, pos)
-        r = rank(s)
-        excess = [
-            (c, d)
-            for c, d in conjugate_degrees(s).items()
-            if c[pos - 1] == pos and d > r
-        ]
-        ok = len(excess) == 1
-        wit = tuple(f"{format_perm(c)}:deg={d}>r={r}" for c, d in excess)
-        results.append(
-            CaseResult("d", f"{format_perm(s)} unique fixing-conjugate excess", ok, wit)
-        )
+        r, _, excess = _degrees(s)
+        wit = tuple(f"{format_perm(c)}:deg={d}>r={r}" for c, d in excess if c[pos - 1] == pos)
+        label = f"{format_perm(s)} unique fixing-conjugate excess"
+        results.append(CaseResult("d", label, len(wit) == 1, wit))
 
     # (e) 21435: bottom degree matches the rank yet the all-conjugates test
     # fails, and the parity-qualified 2143 containment flags it.
-    rep = classify(parse_perm("21435"))
-    r, deg = rep.rank, rep.w0_degree
-    excess = _conjugate_excess(conjugate_degrees(rep.perm), r)
-    has_43215 = any(c == parse_perm("43215") for c, _ in excess)
-    ok = deg == r == 4 and has_43215 and rep.pattern_singular
-    results.append(
-        CaseResult(
-            "e",
-            "21435 degree condition holds at bottom yet singular",
-            ok,
-            (f"deg={deg} r={r}",)
-            + tuple(f"{format_perm(c)}:deg={d}" for c, d in excess),
-        )
-    )
+    p = parse_perm("21435")
+    r, deg, excess = _degrees(p)
+    ok = deg == r == 4 and parse_perm("43215") in dict(excess) and classify(p).pattern_singular
+    wit = (f"deg={deg} r={r}",) + tuple(f"{format_perm(c)}:deg={d}" for c, d in excess)
+    results.append(CaseResult("e", "21435 degree condition holds at bottom yet singular", ok, wit))
     return results
 
 

@@ -98,6 +98,38 @@ def _unused_imports(path: Path) -> list[str]:
     return unused
 
 
+def _private_sibling_imports(tree: ast.Module) -> list[str]:
+    """The _-prefixed names that tree imports from a sibling module of the package."""
+    return [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("flagorbits"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_module_imports_a_private_name():
+    # a name one module reads from another is public there
+    imports = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _private_sibling_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert imports == []
+
+
+def test_private_import_check_sees_every_form():
+    source = (
+        "from __future__ import annotations\nfrom .poly import _a, b\n"
+        "from flagorbits.perms import _c\nfrom typing import _d\n"
+        "def f():\n    from .geometry import _e\n"
+    )
+    found = _private_sibling_imports(ast.parse(source))
+    assert found == ["poly._a", "flagorbits.perms._c", "geometry._e"]
+
+
 def test_every_import_is_used():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules

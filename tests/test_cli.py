@@ -111,6 +111,51 @@ def test_verify_cases(capsys):
     assert not any(" FAIL " in line for line in lines)
 
 
+VERIFY_CASES_STDOUT = """\
+(a) pass 14325 bottom excess  [deg=5 r=4]
+(a) pass 426153 bottom excess  [deg=5 r=4]
+(a) pass 154326 bottom excess  [deg=6 r=5]
+(a) pass 124356 bottom excess  [deg=9 r=8]
+(a) pass 153624 bottom excess  [deg=6 r=5]
+(a) pass 351426 bottom excess  [deg=6 r=5]
+(a) pass 213654 bottom excess  [deg=7 r=6]
+(a) pass 321465 bottom excess  [deg=7 r=6]
+(a) pass 3614725 bottom excess  [deg=7 r=6]
+(a) pass 1324657 bottom excess  [deg=11 r=10]
+(a) pass 2137654 conjugate excess  [7326541:deg=8>r=7]
+(a) pass 4321576 conjugate excess  [7432651:deg=8>r=7]
+(a) pass 5276143 bottom excess  [deg=5 r=4]
+(a) pass 5472163 bottom excess  [deg=5 r=4]
+(a) pass 2135467 bottom excess  [deg=11 r=10]
+(a) pass 1243576 bottom excess  [deg=11 r=10]
+(a) pass 1657324 bottom excess  [deg=6 r=5]
+(a) pass 4651327 bottom excess  [deg=6 r=5]
+(a) pass 57681324 bottom excess  [deg=6 r=5]
+(a) pass 65872143 bottom excess  [deg=5 r=4]
+(a) pass 13247856 bottom excess  [deg=13 r=12]
+(a) pass 34125768 bottom excess  [deg=13 r=12]
+(a) pass 341258967 bottom excess  [deg=15 r=14]
+(a) pass 749258163 bottom excess  [deg=9 r=7]
+(b) pass 2134765 conjugate excess  [deg=9 r=9; 7325461:deg=10]
+(b) pass 3214576 conjugate excess  [deg=9 r=9; 7243651:deg=10]
+(b) pass 2137564 conjugate excess  [deg=8 r=8; 7325461:deg=9]
+(b) pass 4231576 conjugate excess  [deg=8 r=8; 7243651:deg=9]
+(c) pass bad-pattern insertions keep bottom excess  [183 insertions checked]
+(c) pass exception insertions restore bottom excess
+(d) pass 13254 unique fixing-conjugate excess  [15432:deg=5>r=4]
+(d) pass 32154 unique fixing-conjugate excess  [52431:deg=4>r=3]
+(d) pass 21543 unique fixing-conjugate excess  [53241:deg=4>r=3]
+(d) pass 21435 unique fixing-conjugate excess  [43215:deg=5>r=4]
+(e) pass 21435 degree condition holds at bottom yet singular  [deg=4 r=4; 43215:deg=5; 53241:deg=5]
+all checks pass
+"""
+
+
+def test_verify_cases_stdout_pinned(capsys):
+    # every label and witness of the checklist, byte for byte
+    assert run(capsys, "verify-cases") == (0, VERIFY_CASES_STDOUT, "")
+
+
 def test_verify_cases_failure_exits_1(capsys, monkeypatch):
     import flagorbits.cli as cli
     from flagorbits.smoothness import CaseResult

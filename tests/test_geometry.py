@@ -568,6 +568,16 @@ def test_orbit_of_flag_rejects_malformed_shapes():
             orbit_of_flag([[token]])
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [[[float("inf")]], [[None]], [None], [[None, None], [1, 2]], 5],
+    ids=["inf-entry", "none-entry", "none-row", "none-row-of-two", "int-flag"],
+)
+def test_orbit_of_flag_refuses_malformed_flags(flag):
+    with pytest.raises(MalformedInput):
+        orbit_of_flag(flag)
+
+
 def test_flag_guard_fires_before_any_fraction(monkeypatch):
     import flagorbits.geometry as geo
 

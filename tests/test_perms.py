@@ -187,6 +187,20 @@ def test_enumeration_matches_brute_force():
             enumerate_involutions(m)
 
 
+def test_enumeration_guard_fires_before_work(monkeypatch):
+    import flagorbits.perms as perms
+
+    def no_work(*args):
+        raise AssertionError("enumeration started work")
+
+    monkeypatch.setattr(perms, "involution_rows", no_work)
+    for call in (enumerate_involutions, w0_class):
+        with pytest.raises(TooLarge):
+            call(13)
+        with pytest.raises(AssertionError):
+            call(12)  # the guard admits m = 12
+
+
 def test_w0_class():
     assert sorted(w0_class(4)) == [(2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
     assert w0_class(2) == [(2, 1)]
